@@ -210,7 +210,6 @@ fn main() {
             scaling: None,
             training: None,
             filter_wide: None,
-            event_schedule: None,
             scale_1m: None,
             rss: Some(run_rss_probe()),
         };

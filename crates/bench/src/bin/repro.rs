@@ -18,8 +18,8 @@
 //! ```
 
 use asyncfl_bench::perf::{
-    counter_rows, gauge_rows, phase_rows, run_event_schedule_probe, run_filter_wide_probe,
-    run_rss_probe, run_scale_probe, run_scaling_probe, run_training_probe, BenchJson,
+    counter_rows, gauge_rows, phase_rows, run_filter_wide_probe, run_rss_probe, run_scale_probe,
+    run_scaling_probe, run_training_probe, BenchJson,
 };
 use asyncfl_bench::{ExperimentId, RunOptions, TraceHandle};
 use asyncfl_telemetry::metrics::MetricsRegistry;
@@ -216,18 +216,6 @@ fn main() {
             ),
             None => println!("probe: dim {}, no filter spans observed", wide.dim),
         }
-        println!("Running event-scheduling probe (wheel vs heap)...");
-        let schedule = run_event_schedule_probe(opts.quick);
-        for point in &schedule.points {
-            println!(
-                "probe: {:>9} entries: heap {:.0} ns/event, wheel {:.0} ns/event",
-                point.entries, point.heap_ns_per_event, point.wheel_ns_per_event
-            );
-        }
-        println!(
-            "probe: wheel flatness ratio {:.2}, pop order identical: {}",
-            schedule.wheel_flat_ratio, schedule.pop_order_identical
-        );
         println!("Running million-client scale probe...");
         let scale = run_scale_probe(opts.quick);
         println!(
@@ -269,7 +257,6 @@ fn main() {
             scaling: Some(probe),
             training: Some(training),
             filter_wide: Some(wide),
-            event_schedule: Some(schedule),
             scale_1m: Some(scale),
             rss: Some(run_rss_probe()),
         };

@@ -55,14 +55,6 @@ impl Value {
         }
     }
 
-    /// The boolean this value holds, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string this value holds, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -273,21 +265,6 @@ pub struct ScaleSummary {
     pub alloc_peak_live_bytes: f64,
 }
 
-/// The event-scheduling probe's gate-relevant fields as read from an
-/// artifact's `event_schedule` member (absent in artifacts that predate
-/// it).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EventScheduleSummary {
-    /// Largest resident-entry count the probe timed (10⁶ in full runs).
-    pub max_entries: f64,
-    /// max/min of the calendar queue's ns/event across the probed depths
-    /// — 1.0 means perfectly flat (O(1) marginal work per event).
-    pub wheel_flat_ratio: f64,
-    /// Whether the in-artifact differential replay saw the calendar
-    /// queue and the heap twin pop a byte-identical event sequence.
-    pub pop_order_identical: bool,
-}
-
 /// Everything the differ reads out of one artifact.
 #[derive(Debug, Clone, Default)]
 pub struct BenchSummary {
@@ -303,8 +280,6 @@ pub struct BenchSummary {
     pub peak_live_bytes: Option<f64>,
     /// Million-client scale probe, when the artifact recorded one.
     pub scale_1m: Option<ScaleSummary>,
-    /// Event-scheduling probe, when the artifact recorded one.
-    pub event_schedule: Option<EventScheduleSummary>,
 }
 
 /// Extracts the diffable summary from a parsed artifact.
@@ -360,24 +335,6 @@ pub fn summarize(doc: &Value) -> Result<BenchSummary, String> {
             rounds_completed: field("rounds_completed").unwrap_or(0.0),
             loop_events: field("loop_events").unwrap_or(0.0),
             alloc_peak_live_bytes: field("alloc_peak_live_bytes").unwrap_or(0.0),
-        })
-    });
-    summary.event_schedule = doc.get("event_schedule").and_then(|p| {
-        let points = p.get("points").and_then(Value::as_arr)?;
-        let max_entries = points
-            .iter()
-            .filter_map(|pt| pt.get("entries").and_then(Value::as_f64))
-            .fold(0.0, f64::max);
-        Some(EventScheduleSummary {
-            max_entries,
-            wheel_flat_ratio: p
-                .get("wheel_flat_ratio")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            pop_order_identical: p
-                .get("pop_order_identical")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
         })
     });
     Ok(summary)
@@ -547,57 +504,6 @@ pub fn diff(
             }
         }
     }
-    // The event-scheduling probe gates by presence and contract: once a
-    // baseline records it, every successor must still time the calendar
-    // queue at no smaller a depth, keep its ns/event flat across depths
-    // (the O(1)-marginal-work promise, DESIGN.md §12), and keep the
-    // wheel-vs-heap pop replay byte-identical. Like scale_1m, a baseline
-    // without the probe disarms all of this.
-    if let Some(o) = &old.event_schedule {
-        match &new.event_schedule {
-            None => breaches.push(Breach {
-                phase: "event_schedule".to_string(),
-                metric: "probe_missing",
-                old: o.max_entries,
-                new: 0.0,
-                pct: 100.0,
-                threshold_pct: 0.0,
-            }),
-            Some(n) => {
-                if n.max_entries < o.max_entries {
-                    breaches.push(Breach {
-                        phase: "event_schedule".to_string(),
-                        metric: "max_entries",
-                        old: o.max_entries,
-                        new: n.max_entries,
-                        pct: pct_change(o.max_entries, n.max_entries).unwrap_or(0.0),
-                        threshold_pct: 0.0,
-                    });
-                }
-                if !n.pop_order_identical {
-                    breaches.push(Breach {
-                        phase: "event_schedule".to_string(),
-                        metric: "pop_order_identical",
-                        old: 1.0,
-                        new: 0.0,
-                        pct: 100.0,
-                        threshold_pct: 0.0,
-                    });
-                }
-                if n.wheel_flat_ratio > MAX_WHEEL_FLAT_RATIO {
-                    breaches.push(Breach {
-                        phase: "event_schedule".to_string(),
-                        metric: "wheel_flat_ratio",
-                        old: o.wheel_flat_ratio,
-                        new: n.wheel_flat_ratio,
-                        pct: pct_change(o.wheel_flat_ratio.max(1.0), n.wheel_flat_ratio)
-                            .unwrap_or(0.0),
-                        threshold_pct: MAX_WHEEL_FLAT_RATIO,
-                    });
-                }
-            }
-        }
-    }
     DiffReport {
         old,
         new,
@@ -605,15 +511,6 @@ pub fn diff(
         breaches,
     }
 }
-
-/// Flatness ceiling for the calendar queue's ns/event across probed
-/// depths. The design target is 2× (10⁶ resident entries no more than
-/// twice the cost of 10⁴); the gate allows 3× so shared-runner timing
-/// noise doesn't flake CI while an actual O(log n) regression — which
-/// shows up as ≥5× at these depth ratios — still trips immediately.
-/// An absolute contract rather than a baseline delta, so it is a named
-/// constant, not a [`GateConfig`] field.
-pub const MAX_WHEEL_FLAT_RATIO: f64 = 3.0;
 
 fn fmt_delta(old: f64, new: f64) -> String {
     match pct_change(old, new) {
@@ -669,14 +566,6 @@ impl DiffReport {
                 o.rounds,
                 n.rounds_completed,
                 n.rounds,
-            );
-        }
-        if let (Some(o), Some(n)) = (&self.old.event_schedule, &self.new.event_schedule) {
-            let _ = writeln!(
-                s,
-                "Event-schedule probe ({:.0} max entries): wheel flatness {:.2} -> {:.2}, \
-                 pop order identical: {}\n",
-                n.max_entries, o.wheel_flat_ratio, n.wheel_flat_ratio, n.pop_order_identical,
             );
         }
         let _ = writeln!(
@@ -1132,116 +1021,6 @@ mod tests {
         let js = report.render_json();
         assert!(js.contains("\"scale_1m_peak_old\": 250000000"), "{js}");
         assert!(js.contains("\"scale_1m_peak_new\": 260000000"), "{js}");
-    }
-
-    /// A minimal v2 artifact carrying an `event_schedule` probe.
-    fn schedule_doc(max_entries: f64, flat_ratio: f64, identical: bool) -> String {
-        format!(
-            r#"{{
-  "schema": "asyncfl-bench-v2",
-  "binary": "repro",
-  "total_secs": 20.0,
-  "phases": [],
-  "event_schedule": {{"hold_ops": 100000, "wheel_flat_ratio": {flat_ratio},
-    "pop_order_identical": {identical},
-    "points": [
-      {{"entries": 10000, "heap_ns_per_event": 90.0, "wheel_ns_per_event": 41.0}},
-      {{"entries": {max_entries}, "heap_ns_per_event": 260.0, "wheel_ns_per_event": 45.0}}
-    ]}}
-}}
-"#
-        )
-    }
-
-    fn schedule_summary(max_entries: f64, flat_ratio: f64, identical: bool) -> BenchSummary {
-        summarize(&parse_json(&schedule_doc(max_entries, flat_ratio, identical)).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn summarize_reads_the_event_schedule_probe() {
-        let s = schedule_summary(1_000_000.0, 1.1, true);
-        let probe = s.event_schedule.expect("probe parsed");
-        assert_eq!(probe.max_entries, 1_000_000.0);
-        assert_eq!(probe.wheel_flat_ratio, 1.1);
-        assert!(probe.pop_order_identical);
-        // Artifacts that predate the probe read as absent, not as zeros.
-        let old = summarize(&parse_json(&v2_doc(1000.0, 3000.0, 1000.0)).unwrap()).unwrap();
-        assert_eq!(old.event_schedule, None);
-    }
-
-    #[test]
-    fn schedule_gate_trips_when_the_probe_disappears_or_shrinks() {
-        let old = schedule_summary(1_000_000.0, 1.1, true);
-        let gone = summarize(&parse_json(&v2_doc(1000.0, 3000.0, 1000.0)).unwrap()).unwrap();
-        let report = diff(old.clone(), gone, &[], GateConfig::default());
-        assert_eq!(report.breaches.len(), 1, "{:?}", report.breaches);
-        assert_eq!(report.breaches[0].phase, "event_schedule");
-        assert_eq!(report.breaches[0].metric, "probe_missing");
-
-        let shrunk = diff(
-            old,
-            schedule_summary(100_000.0, 1.1, true),
-            &[],
-            GateConfig::default(),
-        );
-        assert!(shrunk.breaches.iter().any(|b| b.metric == "max_entries"));
-    }
-
-    #[test]
-    fn schedule_gate_enforces_flatness_and_pop_identity() {
-        let old = schedule_summary(1_000_000.0, 1.1, true);
-        let ok = diff(
-            old.clone(),
-            schedule_summary(1_000_000.0, 1.8, true),
-            &[],
-            GateConfig::default(),
-        );
-        assert!(ok.breaches.is_empty(), "{:?}", ok.breaches);
-
-        let unflat = diff(
-            old.clone(),
-            schedule_summary(1_000_000.0, MAX_WHEEL_FLAT_RATIO + 1.0, true),
-            &[],
-            GateConfig::default(),
-        );
-        assert_eq!(unflat.breaches.len(), 1, "{:?}", unflat.breaches);
-        assert_eq!(unflat.breaches[0].metric, "wheel_flat_ratio");
-
-        let diverged = diff(
-            old,
-            schedule_summary(1_000_000.0, 1.1, false),
-            &[],
-            GateConfig::default(),
-        );
-        assert_eq!(diverged.breaches.len(), 1, "{:?}", diverged.breaches);
-        assert_eq!(diverged.breaches[0].metric, "pop_order_identical");
-    }
-
-    #[test]
-    fn schedule_gate_disarms_without_a_baseline_probe() {
-        // Pre-probe baselines (e.g. one that only has scale_1m) must not
-        // gate the new artifact's schedule measurements.
-        let old = scale_summary(1_000_000.0, 30.0, 250e6);
-        let new = schedule_summary(1_000_000.0, 99.0, false);
-        let report = diff(old, new, &[], GateConfig::default());
-        assert!(
-            report.breaches.iter().all(|b| b.phase != "event_schedule"),
-            "{:?}",
-            report.breaches
-        );
-    }
-
-    #[test]
-    fn schedule_probe_delta_appears_in_markdown() {
-        let old = schedule_summary(1_000_000.0, 1.3, true);
-        let new = schedule_summary(1_000_000.0, 1.1, true);
-        let report = diff(old, new, &[], GateConfig::default());
-        let md = report.render_markdown();
-        assert!(
-            md.contains("Event-schedule probe (1000000 max entries)"),
-            "{md}"
-        );
-        assert!(md.contains("wheel flatness 1.30 -> 1.10"), "{md}");
     }
 
     #[test]

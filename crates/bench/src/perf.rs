@@ -23,7 +23,6 @@ use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::{SeedableRng, StandardSample};
 use asyncfl_sim::config::SimConfig;
 use asyncfl_sim::runner::{build_attack, Simulation};
-use asyncfl_sim::schedule::{EventKey, SchedulerKind};
 use asyncfl_sim::server::BufferedServer;
 use asyncfl_telemetry::metrics::MetricsRegistry;
 use asyncfl_telemetry::{Event, MemorySink, SharedSink, Sink, Stopwatch};
@@ -710,173 +709,6 @@ pub fn run_scale_probe(quick: bool) -> ScaleProbe {
     run_scale_probe_sized(1_000_000, quick)
 }
 
-/// One depth point of the event-scheduling probe: steady-state cost per
-/// pop+reschedule pair with `entries` resident events, for both queue
-/// implementations.
-#[derive(Debug, Clone)]
-pub struct EventSchedulePoint {
-    /// Resident events held in the queue during the timed loop.
-    pub entries: usize,
-    /// Mean nanoseconds per pop+push pair, binary-heap twin.
-    pub heap_ns_per_event: f64,
-    /// Mean nanoseconds per pop+push pair, calendar-queue wheel.
-    pub wheel_ns_per_event: f64,
-}
-
-/// Result of the event-scheduling probe (see [`run_event_schedule_probe`]):
-/// the engines' pop-one/reschedule hold pattern timed at several resident
-/// depths for the wheel and its heap twin, plus a differential replay
-/// verifying the two pop byte-identically. The flatness ratio is the
-/// scheduler contract (DESIGN.md §12) in one number: a wheel whose
-/// per-event cost grows with depth has regressed to heap behavior.
-#[derive(Debug, Clone)]
-pub struct EventScheduleProbe {
-    /// Timed pop+push pairs per (kind, depth) leg.
-    pub hold_ops: usize,
-    /// Per-depth timings, depths ascending.
-    pub points: Vec<EventSchedulePoint>,
-    /// Deepest wheel ns/event divided by shallowest — near 1.0 for a
-    /// healthy wheel, unbounded for a structure whose pop cost scales
-    /// with occupancy.
-    pub wheel_flat_ratio: f64,
-    /// Whether a seeded replay popped byte-identically from both queues
-    /// (times compared by bit pattern, then sequence numbers).
-    pub pop_order_identical: bool,
-}
-
-/// Synthetic event for the scheduling probe — the same `(time, seq)` key
-/// shape the engines schedule with.
-#[derive(Debug, Clone, Copy)]
-struct ProbeEvent {
-    at: f64,
-    seq: u64,
-}
-
-impl EventKey for ProbeEvent {
-    fn time(&self) -> f64 {
-        self.at
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// Fills a queue of `kind` with `entries` seeded events spread over a
-/// 100-second horizon, then times `ops` steady-state pop+reschedule pairs
-/// (each pop is pushed back at `popped + dur`, the engines' exact hold
-/// pattern). Returns mean nanoseconds per pair.
-fn time_queue_hold(kind: SchedulerKind, entries: usize, ops: usize, seed: u64) -> f64 {
-    let mut queue = kind.build::<ProbeEvent>();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seq = 0u64;
-    for _ in 0..entries {
-        queue.push(ProbeEvent {
-            at: f64::sample(&mut rng) * 100.0,
-            seq,
-        });
-        seq += 1;
-    }
-    let started = Stopwatch::start();
-    for _ in 0..ops {
-        if let Some(ev) = queue.pop() {
-            queue.push(ProbeEvent {
-                at: ev.at + 0.5 + f64::sample(&mut rng),
-                seq,
-            });
-            seq += 1;
-        }
-    }
-    let secs = started.elapsed_secs();
-    if ops > 0 {
-        secs * 1e9 / ops as f64
-    } else {
-        0.0
-    }
-}
-
-/// Replays one seeded fill + hold + drain schedule through both queue
-/// kinds and reports whether every pop matched byte-for-byte.
-fn replay_pop_order(entries: usize, ops: usize, seed: u64) -> bool {
-    let run = |kind: SchedulerKind| -> Vec<(u64, u64)> {
-        let mut queue = kind.build::<ProbeEvent>();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seq = 0u64;
-        let mut popped = Vec::with_capacity(entries + ops);
-        for _ in 0..entries {
-            queue.push(ProbeEvent {
-                at: f64::sample(&mut rng) * 100.0,
-                seq,
-            });
-            seq += 1;
-        }
-        for _ in 0..ops {
-            if let Some(ev) = queue.pop() {
-                popped.push((ev.at.to_bits(), ev.seq));
-                queue.push(ProbeEvent {
-                    at: ev.at + 0.5 + f64::sample(&mut rng),
-                    seq,
-                });
-                seq += 1;
-            }
-        }
-        while let Some(ev) = queue.pop() {
-            popped.push((ev.at.to_bits(), ev.seq));
-        }
-        popped
-    };
-    run(SchedulerKind::Wheel) == run(SchedulerKind::Heap)
-}
-
-/// Pure core of [`run_event_schedule_probe`], parameterized on depths and
-/// op count so the unit test can exercise the exact probe path cheaply.
-fn run_event_schedule_probe_sized(depths: &[usize], hold_ops: usize) -> EventScheduleProbe {
-    let mut points = Vec::with_capacity(depths.len());
-    for &entries in depths {
-        points.push(EventSchedulePoint {
-            entries,
-            heap_ns_per_event: time_queue_hold(SchedulerKind::Heap, entries, hold_ops, 0xE5E7),
-            wheel_ns_per_event: time_queue_hold(SchedulerKind::Wheel, entries, hold_ops, 0xE5E7),
-        });
-    }
-    let slowest = points
-        .iter()
-        .map(|p| p.wheel_ns_per_event)
-        .fold(0.0f64, f64::max);
-    let fastest = points
-        .iter()
-        .map(|p| p.wheel_ns_per_event)
-        .fold(f64::INFINITY, f64::min);
-    EventScheduleProbe {
-        hold_ops,
-        points,
-        wheel_flat_ratio: if fastest > 0.0 && fastest.is_finite() {
-            slowest / fastest
-        } else {
-            0.0
-        },
-        pop_order_identical: replay_pop_order(
-            10_000.min(depths.last().copied().unwrap_or(0)),
-            hold_ops.min(20_000),
-            0x0D3,
-        ),
-    }
-}
-
-/// Times the indexed event scheduler against its binary-heap twin at
-/// 10⁴ / 10⁵ / 10⁶ resident entries (10³–10⁵ in `--quick` mode) using the
-/// engines' steady-state pop-one/reschedule pattern, and differentially
-/// replays one schedule through both to re-verify byte-identical pop
-/// order. The wheel's per-event cost must stay flat as depth grows — that
-/// flatness (and the heap columns for contrast) is what the artifact pins.
-pub fn run_event_schedule_probe(quick: bool) -> EventScheduleProbe {
-    if quick {
-        run_event_schedule_probe_sized(&[1_000, 10_000, 100_000], 20_000)
-    } else {
-        run_event_schedule_probe_sized(&[10_000, 100_000, 1_000_000], 100_000)
-    }
-}
-
 /// The full artifact a bench binary writes for `--bench-json`.
 #[derive(Debug, Clone, Default)]
 pub struct BenchJson {
@@ -902,8 +734,6 @@ pub struct BenchJson {
     pub training: Option<TrainingProbe>,
     /// Wide-model filter probe (repro only).
     pub filter_wide: Option<FilterWideProbe>,
-    /// Event-scheduling probe (repro only).
-    pub event_schedule: Option<EventScheduleProbe>,
     /// Million-client scale probe (repro only).
     pub scale_1m: Option<ScaleProbe>,
     /// Process peak-memory estimate, sampled at the end of the run.
@@ -1144,7 +974,7 @@ impl BenchJson {
             }
         }
         match &self.filter_wide {
-            None => s.push_str("  \"filter_wide_probe\": null,\n"),
+            None => s.push_str("  \"filter_wide_probe\": null\n"),
             Some(w) => {
                 s.push_str("  \"filter_wide_probe\": {\n");
                 s.push_str(&format!("    \"dim\": {},\n", w.dim));
@@ -1161,34 +991,6 @@ impl BenchJson {
                     s.push_str(&format!(
                         "      {{\"pass\": {}, \"nanos\": {}, \"alloc_bytes\": {}}}{comma}\n",
                         p.pass, p.nanos, p.alloc_bytes
-                    ));
-                }
-                s.push_str("    ]\n");
-                s.push_str("  },\n");
-            }
-        }
-        match &self.event_schedule {
-            None => s.push_str("  \"event_schedule\": null\n"),
-            Some(p) => {
-                s.push_str("  \"event_schedule\": {\n");
-                s.push_str(&format!("    \"hold_ops\": {},\n", p.hold_ops));
-                s.push_str(&format!(
-                    "    \"wheel_flat_ratio\": {},\n",
-                    num(p.wheel_flat_ratio)
-                ));
-                s.push_str(&format!(
-                    "    \"pop_order_identical\": {},\n",
-                    p.pop_order_identical
-                ));
-                s.push_str("    \"points\": [\n");
-                for (i, point) in p.points.iter().enumerate() {
-                    let comma = if i + 1 < p.points.len() { "," } else { "" };
-                    s.push_str(&format!(
-                        "      {{\"entries\": {}, \"heap_ns_per_event\": {}, \
-                         \"wheel_ns_per_event\": {}}}{comma}\n",
-                        point.entries,
-                        num(point.heap_ns_per_event),
-                        num(point.wheel_ns_per_event)
                     ));
                 }
                 s.push_str("    ]\n");
@@ -1305,23 +1107,6 @@ mod tests {
                     },
                 ],
             }),
-            event_schedule: Some(EventScheduleProbe {
-                hold_ops: 100_000,
-                points: vec![
-                    EventSchedulePoint {
-                        entries: 10_000,
-                        heap_ns_per_event: 85.0,
-                        wheel_ns_per_event: 40.0,
-                    },
-                    EventSchedulePoint {
-                        entries: 1_000_000,
-                        heap_ns_per_event: 240.0,
-                        wheel_ns_per_event: 44.0,
-                    },
-                ],
-                wheel_flat_ratio: 1.1,
-                pop_order_identical: true,
-            }),
             scale_1m: Some(ScaleProbe {
                 clients: 1_000_000,
                 rounds: 30,
@@ -1373,11 +1158,6 @@ mod tests {
             "\"shard_cache_capacity\": 4096",
             "\"resident_client_states_max\": 4096",
             "\"loop_events\": 1966080",
-            "\"event_schedule\": {",
-            "\"wheel_flat_ratio\": 1.100000",
-            "\"pop_order_identical\": true",
-            "{\"entries\": 1000000, \"heap_ns_per_event\": 240.000000, \
-             \"wheel_ns_per_event\": 44.000000}",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
@@ -1489,27 +1269,7 @@ mod tests {
         assert!(json.contains("\"filter_wide_probe\": null"), "{json}");
         assert!(json.contains("\"peak_rss_estimate\": null"), "{json}");
         assert!(json.contains("\"scale_1m\": null"), "{json}");
-        assert!(json.contains("\"event_schedule\": null"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn event_schedule_probe_times_both_queues_and_replays_identically() {
-        // The exact probe path at debug-build friendly depths; the shipped
-        // artifact runs the same code at 10⁴–10⁶ entries.
-        let probe = run_event_schedule_probe_sized(&[256, 2_048], 2_000);
-        assert_eq!(probe.points.len(), 2);
-        assert_eq!(probe.points[0].entries, 256);
-        assert_eq!(probe.points[1].entries, 2_048);
-        for point in &probe.points {
-            assert!(point.heap_ns_per_event > 0.0, "{probe:?}");
-            assert!(point.wheel_ns_per_event > 0.0, "{probe:?}");
-        }
-        assert!(probe.wheel_flat_ratio >= 1.0, "{probe:?}");
-        assert!(
-            probe.pop_order_identical,
-            "wheel and heap popped differently"
-        );
     }
 
     #[test]

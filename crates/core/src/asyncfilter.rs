@@ -134,14 +134,6 @@ pub struct AsyncFilterConfig {
     /// estimates exist). Default 0 — measured to cost more on benign
     /// rounds than it saves under early attacks; exposed for ablation.
     pub gate_warmup_rounds: u64,
-    /// Opt-in O(1) maintenance of the cached `‖MA‖²` via the lerp identity
-    /// `‖(1−α)m + αω‖² = (1−α)²‖m‖² + 2α(1−α)⟨m,ω⟩ + α²‖ω‖²`, reusing the
-    /// `⟨m,ω⟩` already paid for by the arrival-time hook. **Not**
-    /// bit-identical to a fresh reduction (different summation order), so
-    /// the default is `false`: the default path instead fuses the lerp and
-    /// the norm reduction into one pass over the estimate, which *is*
-    /// bit-identical to the historical lerp-then-reduce (DESIGN.md §10).
-    pub norm_identity: bool,
 }
 
 impl AsyncFilterConfig {
@@ -196,16 +188,14 @@ impl Default for AsyncFilterConfig {
             score_normalization: ScoreNormalization::default(),
             min_separation: 2.0,
             gate_warmup_rounds: 0,
-            norm_identity: false,
         }
     }
 }
 
 /// How each `absorb` refreshed the cached `‖MA‖²` (lifetime totals; the
-/// per-emission deltas become the `filter_norm_*` telemetry counters). The
-/// regression tests pin the O(marginal work) claim through these: with the
-/// default configuration a warm run is all `adopted` + `fused` and
-/// `rereduced` stays at zero.
+/// per-emission deltas become the `filter_norm_*` telemetry counters).
+/// Every absorb takes exactly one of the two paths, both bit-identical to
+/// re-reducing the estimate fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NormPathCounts {
     /// EMA cold start: the estimate *is* the update, so its cached norm is
@@ -214,13 +204,6 @@ pub struct NormPathCounts {
     /// Default warm path: one fused lerp+reduce pass over the estimate,
     /// bit-identical to the historical lerp-then-reduce two-pass.
     pub fused: u64,
-    /// Opt-in [`AsyncFilterConfig::norm_identity`] path: O(1) algebraic
-    /// update from the arrival-time `⟨m,ω⟩`, no pass over the estimate.
-    pub identity: u64,
-    /// Fallback when the identity path is armed but no valid arrival dot
-    /// exists (unannounced update, non-first absorb into the group this
-    /// pass): plain lerp followed by a full re-reduction.
-    pub rereduced: u64,
 }
 
 /// Coordinate-wise 25%-trimmed mean used to bootstrap new-group estimates.
@@ -241,12 +224,11 @@ where
 struct GroupState {
     ma: Vector,
     absorbed: u64,
-    /// Cached `‖ma‖²`, refreshed after every absorb. On every default path
-    /// (cold adoption, fused lerp+reduce) it is bit-identical to
+    /// Cached `‖ma‖²`, refreshed after every absorb. On both paths (cold
+    /// adoption, fused lerp+reduce) it is bit-identical to
     /// `ma.norm_squared()` recomputed fresh (same data, same kernel), so
-    /// eq. 6 distances built from it match the uncached path exactly. Only
-    /// the opt-in [`AsyncFilterConfig::norm_identity`] path trades that
-    /// bit-identity for an O(1) algebraic update (DESIGN.md §10).
+    /// eq. 6 distances built from it match the uncached path exactly
+    /// (DESIGN.md §10).
     norm_sq: f64,
 }
 
@@ -287,10 +269,6 @@ struct Scratch {
     uniq: Vec<u64>,
     /// Per-update index into the pass's pending-arrival list, if matched.
     cached: Vec<Option<usize>>,
-    /// Group keys already absorbed into during the current pass — an
-    /// arrival-time `⟨m,ω⟩` is only valid for the *first* absorb into its
-    /// group (the estimate mutates underneath later ones).
-    absorbed_keys: Vec<u64>,
     dist_sq: Vec<f64>,
     dist: Vec<f64>,
     scores: Vec<f64>,
@@ -378,10 +356,9 @@ impl AsyncFilter {
     }
 
     /// Lifetime counts of how `absorb` maintained the cached `‖MA‖²`,
-    /// broken down by path (see [`NormPathCounts`]). Under the default
-    /// configuration a warm filter reports `rereduced == 0` — the
-    /// regression tests pin the estimate-maintenance cost at O(marginal
-    /// work) through this accessor.
+    /// broken down by path (see [`NormPathCounts`]). The regression tests
+    /// pin the estimate-maintenance cost at one pass per absorb through
+    /// this accessor.
     pub fn norm_path_counts(&self) -> NormPathCounts {
         self.norm_counts
     }
@@ -391,27 +368,21 @@ impl AsyncFilter {
     }
 
     /// Absorbs one update into its group estimate (eq. 5) and refreshes the
-    /// cached `‖MA‖²` by the cheapest valid path (DESIGN.md §10):
+    /// cached `‖MA‖²` (DESIGN.md §10):
     ///
     /// 1. **Adopt** — EMA cold start copies `ω` into the estimate, so the
     ///    update's cached `‖ω‖²` (same kernel, same data) *is* the new norm.
     ///    Robbins–Monro deliberately keeps lerping on its cold start: its
     ///    blend `0·m + 1·ω` can flip a `−0.0` coordinate to `+0.0`, so
     ///    adopting would not be bit-identical to the historical behavior.
-    /// 2. **Identity** (opt-in, `norm_identity`) — O(1) algebraic update
-    ///    from `caller_dot = ⟨m,ω⟩` recovered from the arrival-time record.
-    /// 3. **Re-reduce** — identity armed but no valid dot: plain lerp plus
-    ///    a full fresh reduction (the counter proving this stays rare).
-    /// 4. **Fused** (default warm path) — one pass over the estimate that
-    ///    lerps and accumulates `‖·‖²` together, bit-identical to the
-    ///    historical lerp-then-reduce two-pass by construction.
+    /// 2. **Fused** (warm path) — one pass over the estimate that lerps and
+    ///    accumulates `‖·‖²` together, bit-identical to the historical
+    ///    lerp-then-reduce two-pass by construction.
     ///
     /// `params_norm_sq` is the caller's cached `‖ω‖²` (bit-exact, from the
-    /// same reduction kernel); `arrival_dot` must be `⟨current MA, ω⟩` or
-    /// `None`.
-    fn absorb(&mut self, key: u64, params: &Vector, params_norm_sq: f64, arrival_dot: Option<f64>) {
+    /// same reduction kernel).
+    fn absorb(&mut self, key: u64, params: &Vector, params_norm_sq: f64) {
         let dim = params.len();
-        let norm_identity = self.config.norm_identity;
         let ma_mode = self.config.ma_mode;
         let state = self.groups.entry(key).or_insert_with(|| GroupState {
             ma: Vector::zeros(dim),
@@ -426,19 +397,6 @@ impl AsyncFilter {
             state.ma.copy_from(params);
             state.norm_sq = params_norm_sq;
             self.norm_counts.adopted += 1;
-        } else if norm_identity {
-            if let Some(dot) = arrival_dot {
-                let m_sq = state.norm_sq;
-                state.ma.lerp(params, t);
-                let keep = 1.0 - t;
-                state.norm_sq =
-                    (keep * keep * m_sq + 2.0 * t * keep * dot + t * t * params_norm_sq).max(0.0);
-                self.norm_counts.identity += 1;
-            } else {
-                state.ma.lerp(params, t);
-                state.norm_sq = state.ma.norm_squared();
-                self.norm_counts.rereduced += 1;
-            }
         } else {
             state.norm_sq = state.ma.lerp_norm_squared(params, t);
             self.norm_counts.fused += 1;
@@ -503,7 +461,7 @@ impl AsyncFilter {
                 });
                 self.distances_emitted = self.distances_computed;
             }
-            let pairs: [(&'static str, u64, &mut u64); 4] = [
+            let pairs: [(&'static str, u64, &mut u64); 2] = [
                 (
                     "filter_norm_adopted",
                     self.norm_counts.adopted,
@@ -513,16 +471,6 @@ impl AsyncFilter {
                     "filter_norm_fused",
                     self.norm_counts.fused,
                     &mut self.norm_emitted.fused,
-                ),
-                (
-                    "filter_norm_identity",
-                    self.norm_counts.identity,
-                    &mut self.norm_emitted.identity,
-                ),
-                (
-                    "filter_norm_rereduced",
-                    self.norm_counts.rereduced,
-                    &mut self.norm_emitted.rereduced,
                 ),
             ];
             for (name, total, emitted) in pairs {
@@ -579,11 +527,9 @@ impl UpdateFilter for AsyncFilter {
 
         if finite.len() < self.config.min_updates {
             // Too few points to cluster meaningfully; absorb and accept.
-            // (No arrival-dot recovery on this rare tiny-buffer path — the
-            // identity mode simply re-reduces here.)
             for u in &finite {
                 let key = self.group_key(u.staleness);
-                self.absorb(key, &u.params, u.params_norm_squared(), None);
+                self.absorb(key, &u.params, u.params_norm_squared());
             }
             outcome.accepted.append(&mut finite);
             self.emit_counters(ctx);
@@ -877,35 +823,12 @@ impl UpdateFilter for AsyncFilter {
         // when the separation gate tolerates them for aggregation, letting
         // them into the moving average would poison the reference and erase
         // the very separation the gate is waiting for.
-        scr.absorbed_keys.clear();
-        for (i, (u, &a)) in finite.iter().zip(&clustering.assignments).enumerate() {
+        for (u, &a) in finite.iter().zip(&clustering.assignments) {
             if !(degenerate || a != reject_cluster) {
                 continue;
             }
             let key = self.group_key(u.staleness);
-            // Identity mode reuses the arrival-time distance as the eq. 5
-            // dot product: d² = ‖m‖² + ‖ω‖² − 2⟨m,ω⟩, so
-            // ⟨m,ω⟩ = (‖m‖² + ‖ω‖² − d²)/2. Valid only for the *first*
-            // absorb into the group this pass (the estimate mutates after
-            // every absorb) and only against a live (non-bootstrap)
-            // estimate — the arrival hook records distances to live
-            // estimates exclusively.
-            let mut arrival_dot = None;
-            if self.config.norm_identity && !scr.absorbed_keys.contains(&key) {
-                scr.absorbed_keys.push(key);
-                let record = scr
-                    .cached
-                    .get(i)
-                    .copied()
-                    .flatten()
-                    .and_then(|pi| pending.get(pi));
-                if let (Some(record), Some(state)) = (record, self.groups.get(&key)) {
-                    arrival_dot = record
-                        .own_dist_sq
-                        .map(|d_sq| 0.5 * (state.norm_sq + record.params_norm_sq - d_sq));
-                }
-            }
-            self.absorb(key, &u.params, u.params_norm_squared(), arrival_dot);
+            self.absorb(key, &u.params, u.params_norm_squared());
         }
 
         self.distances_computed += computed;
@@ -1481,13 +1404,13 @@ mod tests {
         }
     }
 
-    /// Satellite regression for the incremental-norm cache: on every
-    /// default absorb path (EMA cold adoption, fused warm lerp+reduce, and
-    /// both Robbins–Monro paths) the cached `‖MA‖²` must be bit-identical
+    /// Regression for the incremental-norm cache: on every absorb path
+    /// (EMA cold adoption, fused warm lerp+reduce, and both Robbins–Monro
+    /// paths) the cached `‖MA‖²` must be bit-identical
     /// to a fresh reduction over the estimate, for every tracked group,
     /// after every round.
     #[test]
-    fn cached_norm_is_bit_identical_on_default_paths() {
+    fn cached_norm_is_bit_identical_on_every_path() {
         for ma_mode in [
             MovingAverageMode::default(),
             MovingAverageMode::RobbinsMonro,
@@ -1517,22 +1440,16 @@ mod tests {
                 }
             }
             let counts = f.norm_path_counts();
-            assert_eq!(counts.rereduced, 0, "default path re-reduced: {counts:?}");
-            assert_eq!(
-                counts.identity, 0,
-                "identity path without opt-in: {counts:?}"
-            );
             assert!(counts.fused > 0, "warm absorbs never fused: {counts:?}");
         }
     }
 
     /// The estimate-maintenance analogue of
-    /// `incremental_pass_computes_only_marginal_distances`: warm rounds
-    /// under the default configuration refresh `‖MA‖²` exclusively through
-    /// the adopt/fused fast paths — the re-reduction counter stays at zero
-    /// for the filter's whole lifetime.
+    /// `incremental_pass_computes_only_marginal_distances`: the EMA cold
+    /// start adopts the update's norm once, and every later absorb takes
+    /// the fused single pass.
     #[test]
-    fn warm_absorbs_never_rereduce_by_default() {
+    fn warm_absorbs_adopt_once_then_fuse() {
         let mut f = AsyncFilter::default();
         let g = Vector::zeros(2);
         for _ in 0..4 {
@@ -1543,45 +1460,8 @@ mod tests {
             let _ = f.filter(second, &ctx_with(&g));
         }
         let counts = f.norm_path_counts();
-        assert_eq!(counts.rereduced, 0, "{counts:?}");
         assert_eq!(counts.adopted, 1, "one EMA cold start expected: {counts:?}");
         assert!(counts.fused > 0, "{counts:?}");
-    }
-
-    /// The opt-in O(1) identity path: announced warm-buffer absorbs reuse
-    /// the arrival-time `⟨m,ω⟩` (first absorb per group per pass), anything
-    /// else falls back to an honest re-reduction, and the cached norm stays
-    /// numerically indistinguishable from a fresh reduction.
-    #[test]
-    fn norm_identity_reuses_arrival_dot() {
-        let mut f = AsyncFilter::new(AsyncFilterConfig {
-            norm_identity: true,
-            ..AsyncFilterConfig::default()
-        });
-        let g = Vector::zeros(2);
-        // Cold round: estimates bootstrap, no identity work possible.
-        let _ = f.filter(outlier_scenario(), &ctx_with(&g));
-        assert_eq!(f.norm_path_counts().identity, 0);
-        // Warm announced rounds: the first absorb per group per pass takes
-        // the O(1) path.
-        for _ in 0..3 {
-            let second = outlier_scenario();
-            for u in &second {
-                f.on_buffered(u, &ctx_with(&g));
-            }
-            let _ = f.filter(second, &ctx_with(&g));
-        }
-        let counts = f.norm_path_counts();
-        assert!(counts.identity >= 3, "{counts:?}");
-        for state in f.groups.values() {
-            let fresh = state.ma.norm_squared();
-            let scale = fresh.max(1.0);
-            assert!(
-                (state.norm_sq - fresh).abs() <= 1e-9 * scale,
-                "identity cache drifted: cached {} vs fresh {fresh}",
-                state.norm_sq
-            );
-        }
     }
 
     proptest! {

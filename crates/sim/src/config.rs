@@ -1,6 +1,5 @@
 //! Simulation configuration (the paper's §5.1 "AFL setting").
 
-use crate::schedule::SchedulerKind;
 use asyncfl_data::partition::Partitioner;
 use asyncfl_data::DatasetProfile;
 
@@ -71,13 +70,6 @@ pub struct SimConfig {
     /// byte-identically from seed + client id — only memory and the cost
     /// of regeneration. `Some(0)` is invalid.
     pub shard_cache_capacity: Option<usize>,
-    /// Event-queue implementation for the engines (DESIGN.md §12). The
-    /// default [`SchedulerKind::Wheel`] is the calendar-queue timer
-    /// wheel; [`SchedulerKind::Heap`] selects the binary-heap twin. Pop
-    /// order — and therefore every result byte — is identical for both;
-    /// only scheduling cost differs, which is why this knob lives next
-    /// to `threads` rather than among the experiment parameters.
-    pub scheduler: SchedulerKind,
 }
 
 impl SimConfig {
@@ -103,7 +95,6 @@ impl SimConfig {
             partition_jitter: 0.0,
             threads: 1,
             shard_cache_capacity: None,
-            scheduler: SchedulerKind::Wheel,
         }
     }
 
@@ -130,7 +121,6 @@ impl SimConfig {
             partition_jitter: 0.0,
             threads: 1,
             shard_cache_capacity: None,
-            scheduler: SchedulerKind::Wheel,
         }
     }
 
@@ -218,12 +208,6 @@ impl SimConfig {
     /// Builder-style worker-thread override (see [`SimConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style scheduler override (see [`SimConfig::scheduler`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 }
@@ -375,21 +359,6 @@ mod tests {
         assert_eq!(
             SimConfig {
                 threads: a.threads,
-                ..b
-            },
-            a
-        );
-    }
-
-    #[test]
-    fn with_scheduler_only_changes_scheduler() {
-        let a = SimConfig::smoke_test();
-        assert_eq!(a.scheduler, SchedulerKind::Wheel);
-        let b = a.clone().with_scheduler(SchedulerKind::Heap);
-        assert_eq!(b.scheduler, SchedulerKind::Heap);
-        assert_eq!(
-            SimConfig {
-                scheduler: a.scheduler,
                 ..b
             },
             a

@@ -6,9 +6,8 @@
 //! This crate reproduces that runtime twice (per `DESIGN.md`):
 //!
 //! * [`runner::Simulation`] — a **deterministic discrete-event simulator**:
-//!   virtual clock, indexed event queue (a calendar-queue timer wheel by
-//!   default, with the binary heap retained as a differential-testing
-//!   twin — see [`schedule`]), per-client seeded RNG streams.
+//!   virtual clock, a binary-heap event queue ordered by `(time, seq)`,
+//!   per-client seeded RNG streams.
 //!   Given a seed, runs are bit-reproducible (PLATO's "reproducible mode").
 //!   Every table/figure experiment uses this engine.
 //! * [`threaded::run_threaded`] — a **thread-per-client engine** built on
@@ -43,7 +42,7 @@ pub mod latency;
 pub mod metrics;
 pub mod pool;
 pub mod runner;
-pub mod schedule;
+mod schedule;
 pub mod server;
 pub mod spawner;
 pub mod threaded;
@@ -51,6 +50,5 @@ pub mod threaded;
 pub use config::SimConfig;
 pub use metrics::{DetectionStats, RunResult};
 pub use runner::Simulation;
-pub use schedule::{CalendarQueue, EventKey, EventQueue, HeapQueue, SchedulerKind};
 pub use server::{AggregationReport, BufferedServer};
 pub use spawner::{ClientSpawner, ClientState, RngCheckedOut};

@@ -32,9 +32,9 @@
 //! pure function of `seed + client id`, so resident memory is bounded by
 //! the in-flight set plus a fixed shard cache, not by `num_clients`
 //! (see DESIGN.md §11). A million-client run therefore fits in the same
-//! footprint as a hundred-client one, modulo the event queue itself —
-//! which sizes by occupancy too ([`crate::schedule`], DESIGN.md §12),
-//! never pre-allocating for the configured population.
+//! footprint as a hundred-client one, modulo the event queue itself: one
+//! entry per client, ordered by `(time, seq)` in a `BinaryHeap`
+//! (DESIGN.md §12).
 
 use asyncfl_attacks::{Attack, AttackKind, GradientDeviationAttack};
 use asyncfl_core::aggregation::{Aggregator, MeanAggregator};
@@ -47,21 +47,21 @@ use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::SeedableRng;
 use asyncfl_telemetry::{Event, SharedSink, Sink, Span};
 use asyncfl_tensor::Vector;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::RunResult;
 use crate::pool::{with_worker_pool, PoolHandle};
-use crate::schedule::{EventKey, EventQueue};
+use crate::schedule::{EventKey, HeapEntry};
 use crate::server::BufferedServer;
 use crate::spawner::{ClientSpawner, ClientState};
 
 /// An in-flight local training job, ordered by `(completes_at, seq)` in
-/// the event queue ([`EventKey`]). The global-model snapshot is shared
-/// via `Arc` so an in-flight client costs one reference count instead of
-/// a full parameter-vector clone.
+/// the event heap. The global-model snapshot is shared via `Arc` so an
+/// in-flight client costs one reference count instead of a full
+/// parameter-vector clone.
 struct InFlight {
     completes_at: f64,
     seq: u64,
@@ -398,12 +398,10 @@ impl Simulation {
 
             // Kick off every client at t = 0 from the initial model. Each
             // client's state is materialized here and then lives in its
-            // (single, permanent) queue entry; the event queue is the only
-            // O(num_clients) structure a run keeps — and it sizes by
-            // occupancy as it fills, never pre-allocating for the
-            // configured population (the old heap reserved one ~200 B slot
-            // per client up front, ~200 MB at 10⁶ clients).
-            let mut queue: Box<dyn EventQueue<InFlight>> = cfg.scheduler.build();
+            // (single, permanent) queue entry; the event heap is the only
+            // O(num_clients) structure a run keeps. Kickoff pushes exactly
+            // one entry per client, so the heap is reserved at that size.
+            let mut queue = BinaryHeap::with_capacity(cfg.num_clients);
             let mut seq = 0u64;
             let init_base = Arc::new(server.global().clone());
             for client in 0..cfg.num_clients {
@@ -417,7 +415,7 @@ impl Simulation {
                     latency.cycle_duration(factor, rng)
                 };
                 dispatch(&mut pool, seq, client, &init_base, &mut state);
-                queue.push(InFlight {
+                queue.push(HeapEntry(InFlight {
                     completes_at: dur,
                     seq,
                     client,
@@ -425,7 +423,7 @@ impl Simulation {
                     base_params: Arc::clone(&init_base),
                     idle: false,
                     state,
-                });
+                }));
                 seq += 1;
             }
 
@@ -441,7 +439,7 @@ impl Simulation {
             let max_events = event_budget(cfg);
             let mut events = 0u64;
 
-            while let Some(mut job) = queue.pop() {
+            while let Some(HeapEntry(mut job)) = queue.pop() {
                 events += 1;
                 if events > max_events {
                     break;
@@ -464,7 +462,7 @@ impl Simulation {
                     if !idle {
                         dispatch(&mut pool, seq, client, &base, &mut job.state);
                     }
-                    queue.push(InFlight {
+                    queue.push(HeapEntry(InFlight {
                         completes_at: now + dur,
                         seq,
                         client,
@@ -472,7 +470,7 @@ impl Simulation {
                         base_params: base,
                         idle,
                         state: job.state,
-                    });
+                    }));
                     seq += 1;
                     continue;
                 }
@@ -543,17 +541,13 @@ impl Simulation {
                 if let Some(report) = received {
                     round_reports.push(report);
                     // Sample engine-level resource gauges once per
-                    // aggregation (not per event): the event-queue
-                    // depth, how many dataset shards the spawner holds
-                    // materialized (bounded by its cache capacity, not by
-                    // num_clients — the lazy-materialization scale
-                    // contract), and the allocator's live bytes (zero when
-                    // no counting allocator is installed).
+                    // aggregation (not per event): how many dataset
+                    // shards the spawner holds materialized (bounded by
+                    // its cache capacity, not by num_clients — the
+                    // lazy-materialization scale contract), and the
+                    // allocator's live bytes (zero when no counting
+                    // allocator is installed).
                     if let Some(s) = &sink {
-                        s.emit(&Event::GaugeSample {
-                            name: "event_queue_depth",
-                            value: queue.len() as u64,
-                        });
                         s.emit(&Event::GaugeSample {
                             name: "resident_client_states",
                             value: spawner.resident_states() as u64,
@@ -601,7 +595,7 @@ impl Simulation {
                 if !idle {
                     dispatch(&mut pool, seq, client, &base, &mut job.state);
                 }
-                queue.push(InFlight {
+                queue.push(HeapEntry(InFlight {
                     completes_at: now + dur,
                     seq,
                     client,
@@ -609,7 +603,7 @@ impl Simulation {
                     base_params: base,
                     idle,
                     state: job.state,
-                });
+                }));
                 seq += 1;
             }
 
@@ -674,16 +668,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn wheel_and_heap_schedulers_run_byte_identically() {
-        use crate::schedule::SchedulerKind;
-        let run = |kind| {
-            let mut sim = Simulation::new(SimConfig::smoke_test().with_scheduler(kind));
-            sim.run(Box::new(AsyncFilter::default()), AttackKind::Gd)
-        };
-        assert_eq!(run(SchedulerKind::Wheel), run(SchedulerKind::Heap));
     }
 
     #[test]

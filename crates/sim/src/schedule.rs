@@ -1,119 +1,33 @@
-//! Indexed event scheduling for the discrete-event engines.
+//! The one event order both engines share (DESIGN.md §12).
 //!
-//! Both engines order pending work by the total order `(time, seq)`:
-//! completion time first (`f64::total_cmp`), then submission sequence
-//! number as the tie-break. Historically the only implementation was a
-//! `BinaryHeap`, which costs O(log n) per push/pop over the *whole*
-//! population — at a million in-flight clients the event loop's fixed
-//! costs grow with scale even when per-round work does not (ROADMAP
-//! item 1). This module puts that order behind the [`EventQueue`] trait
-//! and provides two interchangeable implementations:
-//!
-//! * [`HeapQueue`] — the classic binary heap, kept as the
-//!   differential-testing twin. It now grows on demand instead of
-//!   pre-allocating one slot per client (the old
-//!   `with_capacity(num_clients + 1)` committed ~200 MB up front at 10⁶
-//!   clients regardless of the in-flight count).
-//! * [`CalendarQueue`] — a calendar-queue / timer-wheel scheduler
-//!   (R. Brown, CACM 1988): a power-of-two ring of time buckets of
-//!   fixed `width`, a monotone cursor, and occupancy-driven resizing.
-//!   Insert is O(1) amortized; pop is near-O(1) for the monotone-time
-//!   workload the engines generate.
-//!
-//! # The pop-order contract (DESIGN.md §12)
-//!
-//! For any sequence of operations that respects the **monotone-time
-//! assumption** — every `push`ed time is `>=` the last `pop`ped time,
-//! which both engines guarantee because new events are scheduled at
-//! `now + duration` — the two implementations pop in **byte-identical**
-//! order: strictly ascending `(time, seq)` under `f64::total_cmp`. The
-//! property tests below replay random schedules (ties included) through
-//! both structures and pin that equivalence, so every golden,
-//! determinism pin and bench probe is preserved no matter which
-//! scheduler a run selects. A push that violates the assumption (a time
-//! in the past) is redirected into the wheel's current bucket: it is
-//! served promptly and the queue stays live, but strict global ordering
-//! is only guaranteed by the heap twin in that out-of-contract case —
-//! the fallback-to-heap policy for workloads the wheel does not serve.
+//! Pending work is ordered by `(time, seq)`: due time first under
+//! `f64::total_cmp`, then submission sequence number as the tie-break,
+//! so the order is total even under time ties. Each engine keeps a
+//! `std::collections::BinaryHeap` of [`HeapEntry`]; the deterministic
+//! engine holds exactly one entry per client for the whole run.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// The scheduling key every queued event exposes: the virtual (or wall)
 /// time it becomes due, plus a submission sequence number that makes the
 /// order total even under time ties.
-pub trait EventKey {
-    /// When the event becomes due. Must be non-negative and finite for
-    /// the calendar queue's bucket math to index meaningfully (both
-    /// engines only produce such times); anything else is handled by
-    /// saturation, not undefined behaviour.
+pub(crate) trait EventKey {
+    /// When the event becomes due.
     fn time(&self) -> f64;
     /// Tie-break: earlier submissions pop first among equal times.
     fn seq(&self) -> u64;
 }
 
-/// `(time, seq)` ascending — the one total order both queues implement.
+/// `(time, seq)` ascending.
 fn key_cmp<T: EventKey>(a: &T, b: &T) -> Ordering {
     a.time()
         .total_cmp(&b.time())
         .then_with(|| a.seq().cmp(&b.seq()))
 }
 
-/// A min-queue of events ordered by `(time, seq)`.
-///
-/// `pop` returns the minimum-key event; see the module docs for the
-/// cross-implementation ordering contract.
-pub trait EventQueue<T: EventKey> {
-    /// Enqueues an event.
-    fn push(&mut self, item: T);
-    /// Removes and returns the earliest `(time, seq)` event.
-    fn pop(&mut self) -> Option<T>;
-    /// The earliest event's time without removing it.
-    fn next_time(&self) -> Option<f64>;
-    /// Number of queued events.
-    fn len(&self) -> usize;
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Which [`EventQueue`] implementation a run schedules events with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// The calendar-queue / timer-wheel scheduler (default): O(1)
-    /// amortized insert, near-O(1) pop, memory sized by occupancy.
-    #[default]
-    Wheel,
-    /// The binary-heap twin: O(log n) operations, kept for differential
-    /// testing and as the strict-ordering fallback for out-of-contract
-    /// (non-monotone) workloads.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Builds an empty queue of this kind. Both start at minimal size
-    /// and grow with occupancy, never with the configured population.
-    pub fn build<T: EventKey + 'static>(self) -> Box<dyn EventQueue<T>> {
-        match self {
-            SchedulerKind::Wheel => Box::new(CalendarQueue::new()),
-            SchedulerKind::Heap => Box::new(HeapQueue::new()),
-        }
-    }
-
-    /// As [`build`](Self::build), for queues shared across threads (the
-    /// threaded engine's wake pacer).
-    pub fn build_send<T: EventKey + Send + 'static>(self) -> Box<dyn EventQueue<T> + Send> {
-        match self {
-            SchedulerKind::Wheel => Box::new(CalendarQueue::new()),
-            SchedulerKind::Heap => Box::new(HeapQueue::new()),
-        }
-    }
-}
-
 /// Max-heap adapter: reversed `(time, seq)` so `BinaryHeap` pops the
 /// minimum key first.
-struct HeapEntry<T>(T);
+pub(crate) struct HeapEntry<T>(pub(crate) T);
 
 impl<T: EventKey> PartialEq for HeapEntry<T> {
     fn eq(&self, other: &Self) -> bool {
@@ -132,390 +46,12 @@ impl<T: EventKey> Ord for HeapEntry<T> {
     }
 }
 
-/// The binary-heap [`EventQueue`]: the pre-wheel implementation, now
-/// growing on demand (amortized doubling) instead of pre-allocating for
-/// the whole client population.
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-}
-
-impl<T: EventKey> HeapQueue<T> {
-    /// Creates an empty queue. No capacity is reserved up front.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T: EventKey> Default for HeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: EventKey> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, item: T) {
-        self.heap.push(HeapEntry(item));
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|e| e.0)
-    }
-
-    fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.0.time())
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// Smallest ring the wheel keeps; shrinking stops here.
-const MIN_BUCKETS: usize = 16;
-
-/// Occupancy the ring is sized for: grow past `TARGET_DENSITY` events
-/// per bucket, shrink below a quarter of it, estimate `width` so an
-/// even spread lands `TARGET_DENSITY` events in each bucket. The value
-/// trades per-pop scan length (bounded by the bucket's population)
-/// against per-event memory: at density 2 a million resident events
-/// need half a million `Vec`s whose headers and doubling slack cost
-/// more than half the payload again — measured as a +20% allocator-peak
-/// regression on the `scale_1m` probe — while density 8 keeps the scan
-/// O(1) and the ring's overhead near the heap twin's flat array.
-const TARGET_DENSITY: usize = 8;
-
-/// The calendar-queue / timer-wheel [`EventQueue`].
-///
-/// A power-of-two ring of `Vec` buckets, each `width` units of time
-/// wide. An event at time `t` lives in ring slot
-/// `floor(t / width) % buckets.len()`; the `cursor` is the absolute
-/// bucket index currently being drained. `pop` scans forward from the
-/// cursor for the earliest *due* event (one whose absolute bucket index
-/// is `<= cursor`), advancing bucket by bucket; if a full rotation finds
-/// nothing due (events far in the future relative to the ring span), it
-/// jumps the cursor straight to the global minimum. The ring resizes by
-/// occupancy — grow past `TARGET_DENSITY` events per bucket, shrink
-/// below a quarter of it — re-estimating `width` from the live events'
-/// time span at each resize, so memory and scan lengths track the
-/// in-flight set, not the configured population.
-///
-/// Every operation is a deterministic function of the operation sequence
-/// alone: no hashing, no addresses, no clocks.
-pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<T>>,
-    /// Bucket width in time units; always finite and positive.
-    width: f64,
-    len: usize,
-    /// Absolute index (`floor(t / width)` space) of the bucket the next
-    /// pop starts scanning from. Monotone except when re-derived at a
-    /// resize, where it is recomputed from the earliest live event.
-    cursor: u64,
-    /// Pops since the last resize; gates adaptive re-widthing (see
-    /// [`CalendarQueue::pop`]) so an O(len) migration amortizes to O(1)
-    /// extra work per pop.
-    pops_since_resize: usize,
-    /// Sum of due-bucket occupancies scanned by pops since the last
-    /// resize. `waste / pops` is the mean scan length — the live
-    /// measure of how stale `width` is, robust to one Poisson-tail
-    /// bucket the way a single occupancy reading is not.
-    waste_since_resize: usize,
-}
-
-impl<T: EventKey> CalendarQueue<T> {
-    /// Creates an empty wheel at minimal size.
-    pub fn new() -> Self {
-        Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1.0,
-            len: 0,
-            cursor: 0,
-            pops_since_resize: 0,
-            waste_since_resize: 0,
-        }
-    }
-
-    /// Absolute bucket index for a time under the current width. The
-    /// `as` cast saturates (NaN → 0, negative → 0, overflow → `u64::MAX`),
-    /// so hostile times degrade to a mis-bucketed event, never UB.
-    fn abs_index(&self, t: f64) -> u64 {
-        (t / self.width).floor() as u64
-    }
-
-    /// Ring slot for an absolute bucket index.
-    fn ring(&self, abs: u64) -> usize {
-        (abs % self.buckets.len().max(1) as u64) as usize
-    }
-
-    /// Position of the earliest due event in the bucket at ring slot
-    /// `slot`, where "due" means its absolute index is `<= cursor`.
-    fn due_min_in(&self, slot: usize, cursor: u64) -> Option<usize> {
-        let bucket = self.buckets.get(slot)?;
-        let mut best: Option<usize> = None;
-        for (i, item) in bucket.iter().enumerate() {
-            if self.abs_index(item.time()) > cursor {
-                continue;
-            }
-            let better = match best.and_then(|b| bucket.get(b)) {
-                Some(cur) => key_cmp(item, cur) == Ordering::Less,
-                None => true,
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Ring slot and in-bucket position of the global minimum event.
-    /// `O(buckets + len)`; only used on the rare rotation miss and by
-    /// [`EventQueue::next_time`].
-    fn global_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize)> = None;
-        for (slot, bucket) in self.buckets.iter().enumerate() {
-            for (i, item) in bucket.iter().enumerate() {
-                let better =
-                    match best.and_then(|(s, b)| self.buckets.get(s).and_then(|bk| bk.get(b))) {
-                        Some(cur) => key_cmp(item, cur) == Ordering::Less,
-                        None => true,
-                    };
-                if better {
-                    best = Some((slot, i));
-                }
-            }
-        }
-        best
-    }
-
-    /// Removes the event at `(slot, pos)`. The caller located the
-    /// position via iteration, so the lookup cannot miss; a `None` here
-    /// would be a bookkeeping bug and is surfaced by the caller.
-    fn take(&mut self, slot: usize, pos: usize) -> Option<T> {
-        let bucket = self.buckets.get_mut(slot)?;
-        if pos >= bucket.len() {
-            return None;
-        }
-        self.len -= 1;
-        let item = bucket.swap_remove(pos);
-        // Buckets that ballooned while `width` was stale (compaction
-        // piles) release their capacity once drained; normal-sized
-        // buckets keep theirs, so the steady-state ring never churns
-        // the allocator.
-        if bucket.is_empty() && bucket.capacity() > TARGET_DENSITY * 2 {
-            *bucket = Vec::new();
-        }
-        Some(item)
-    }
-
-    /// Rebuilds the ring at `new_size` buckets, re-estimating the bucket
-    /// width from the live events' time span (targeting
-    /// [`TARGET_DENSITY`] events per bucket under an even spread).
-    /// Deterministic: inputs are the queue contents and `new_size` only.
-    fn resize(&mut self, new_size: usize) {
-        if self.len >= 2 {
-            let mut min_t = f64::INFINITY;
-            let mut max_t = f64::NEG_INFINITY;
-            for item in self.buckets.iter().flatten() {
-                let t = item.time();
-                if t.total_cmp(&min_t) == Ordering::Less {
-                    min_t = t;
-                }
-                if t.total_cmp(&max_t) == Ordering::Greater {
-                    max_t = t;
-                }
-            }
-            let span = max_t - min_t;
-            if span.is_finite() && span > 0.0 {
-                // `TARGET_DENSITY` events per bucket keeps pop's
-                // within-bucket scan O(1) while leaving slack for
-                // clustering.
-                let w = span / self.len as f64 * TARGET_DENSITY as f64;
-                if w.is_finite() && w > 0.0 {
-                    self.width = w;
-                }
-            }
-        }
-        self.rebuild(new_size);
-    }
-
-    /// Sets a new bucket width (ignored unless finite and positive) and
-    /// re-indexes every event under it at the current ring size.
-    fn rewidth(&mut self, new_width: f64) {
-        if new_width.is_finite() && new_width > 0.0 {
-            self.width = new_width;
-        }
-        self.rebuild(self.buckets.len());
-    }
-
-    /// Rebuilds the ring at `new_size` buckets under the current width,
-    /// re-deriving the cursor from the earliest live event.
-    ///
-    /// Events migrate bucket-by-bucket, each old bucket's allocation
-    /// released as soon as it drains — no staging buffer holding every
-    /// live event. At million-entry depth a full-copy resize would
-    /// transiently double the queue's footprint, which the `scale_1m`
-    /// probe's allocator-peak gate would (and did) catch.
-    fn rebuild(&mut self, new_size: usize) {
-        self.pops_since_resize = 0;
-        self.waste_since_resize = 0;
-        let mut min_t = f64::INFINITY;
-        for item in self.buckets.iter().flatten() {
-            let t = item.time();
-            if t.total_cmp(&min_t) == Ordering::Less {
-                min_t = t;
-            }
-        }
-        if min_t.is_finite() {
-            self.cursor = self.abs_index(min_t);
-        }
-        let old: Vec<Vec<T>> = std::mem::replace(
-            &mut self.buckets,
-            (0..new_size.max(MIN_BUCKETS)).map(|_| Vec::new()).collect(),
-        );
-        let cursor = self.cursor;
-        for bucket in old {
-            for item in bucket {
-                let abs = self.abs_index(item.time()).max(cursor);
-                let slot = self.ring(abs);
-                if let Some(slot_bucket) = self.buckets.get_mut(slot) {
-                    slot_bucket.push(item);
-                }
-            }
-        }
-    }
-}
-
-impl<T: EventKey> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: EventKey> EventQueue<T> for CalendarQueue<T> {
-    fn push(&mut self, item: T) {
-        if self.len == 0 {
-            // Re-anchor an empty wheel at the incoming event so the next
-            // pop never scans the gap the queue was idle across.
-            self.cursor = self.abs_index(item.time());
-        }
-        // Past-time pushes (out of the monotone contract) land in the
-        // cursor's bucket: served promptly, see the module docs.
-        let abs = self.abs_index(item.time()).max(self.cursor);
-        let slot = self.ring(abs);
-        if let Some(bucket) = self.buckets.get_mut(slot) {
-            bucket.push(item);
-        }
-        self.len += 1;
-        if self.len > self.buckets.len().saturating_mul(TARGET_DENSITY) {
-            self.resize(self.buckets.len().saturating_mul(2));
-        }
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.pops_since_resize = self.pops_since_resize.saturating_add(1);
-        for _ in 0..self.buckets.len() {
-            let slot = self.ring(self.cursor);
-            if let Some(pos) = self.due_min_in(slot, self.cursor) {
-                // `width` goes stale when the live span drifts while
-                // `len` — and with it the occupancy-driven resizes —
-                // holds steady: the engines' hold pattern compacts a
-                // spread-out fill into a sliding window a fraction of
-                // the original span, piling whole windows of events
-                // into single buckets. The mean due-bucket occupancy
-                // scanned since the last resize measures the live
-                // density at the head directly — where a span-based
-                // estimate goes wrong mid-compaction (dense sliding
-                // window plus sparse far tail), and where one bucket's
-                // occupancy is just Poisson noise — so once the mean
-                // runs far past target density AND the accumulated
-                // scan waste exceeds the O(len) re-index cost (the
-                // rebuild then pays for itself), scale the width to
-                // spread the mean back to target. Pop order is
-                // unaffected; only the scan length is.
-                let occupancy = self.buckets.get(slot).map_or(0, Vec::len);
-                let waste = self.waste_since_resize.saturating_add(occupancy);
-                self.waste_since_resize = waste;
-                let mean_scan = waste / self.pops_since_resize.max(1);
-                if mean_scan > TARGET_DENSITY * 4 && waste > self.len {
-                    self.rewidth(self.width * TARGET_DENSITY as f64 / mean_scan as f64);
-                    return self.pop();
-                }
-                let item = self.take(slot, pos);
-                if self.len < self.buckets.len() * TARGET_DENSITY / 4
-                    && self.buckets.len() > MIN_BUCKETS
-                {
-                    self.resize(self.buckets.len() / 2);
-                }
-                return item;
-            }
-            self.cursor = self.cursor.saturating_add(1);
-        }
-        // Full rotation without a due event: everything lives beyond the
-        // ring's span — the symmetric staleness (width too fine for a
-        // span that spread out). Re-estimate it when amortized, else
-        // jump straight to the global minimum. `pops > 1` stops the
-        // rebuild→pop recursion for queues a rebuild cannot help (a
-        // nonfinite minimum leaves both width and cursor unchanged):
-        // the recursive pop re-enters here with exactly one pop
-        // recorded and falls through to the scan below.
-        if self.pops_since_resize > 1 && self.pops_since_resize.saturating_mul(4) > self.len {
-            self.resize(self.buckets.len());
-            return self.pop();
-        }
-        let (slot, pos) = self.global_min()?;
-        if let Some(t) = self
-            .buckets
-            .get(slot)
-            .and_then(|b| b.get(pos))
-            .map(|i| i.time())
-        {
-            self.cursor = self.abs_index(t);
-        }
-        self.take(slot, pos)
-    }
-
-    fn next_time(&self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        // Same scan as pop, without mutating the cursor: the first
-        // bucket (in cursor order) holding a due event holds the global
-        // minimum; otherwise fall back to the full scan.
-        let mut cursor = self.cursor;
-        for _ in 0..self.buckets.len() {
-            let slot = self.ring(cursor);
-            if let Some(pos) = self.due_min_in(slot, cursor) {
-                return self
-                    .buckets
-                    .get(slot)
-                    .and_then(|b| b.get(pos))
-                    .map(|i| i.time());
-            }
-            cursor = cursor.saturating_add(1);
-        }
-        let (slot, pos) = self.global_min()?;
-        self.buckets
-            .get(slot)
-            .and_then(|b| b.get(pos))
-            .map(|i| i.time())
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use std::collections::BinaryHeap;
 
-    /// Minimal keyed event for exercising the queues.
-    #[derive(Debug, Clone, Copy, PartialEq)]
+    /// Minimal keyed event for exercising the order.
     struct Ev {
         t: f64,
         s: u64,
@@ -530,208 +66,25 @@ mod tests {
         }
     }
 
-    fn drain<Q: EventQueue<Ev>>(q: &mut Q) -> Vec<Ev> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push(e);
-        }
-        out
-    }
-
-    /// Replays `(time, seq)` events through both queues with interleaved
-    /// pops that respect the monotone-time contract, returning both pop
-    /// sequences for comparison.
-    fn replay(events: &[Ev], pop_every: usize) -> (Vec<Ev>, Vec<Ev>) {
-        let mut wheel = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut w_out = Vec::new();
-        let mut h_out = Vec::new();
-        for (i, e) in events.iter().enumerate() {
-            wheel.push(*e);
-            heap.push(*e);
-            if pop_every > 0 && i % pop_every == pop_every - 1 {
-                w_out.extend(wheel.pop());
-                h_out.extend(heap.pop());
-            }
-        }
-        w_out.append(&mut drain(&mut wheel));
-        h_out.append(&mut drain(&mut heap));
-        (w_out, h_out)
-    }
-
-    fn assert_bit_identical(w: &[Ev], h: &[Ev]) {
-        assert_eq!(w.len(), h.len());
-        for (a, b) in w.iter().zip(h) {
-            assert_eq!(a.t.to_bits(), b.t.to_bits(), "time drift");
-            assert_eq!(a.s, b.s, "seq drift");
-        }
-    }
-
-    #[test]
-    fn empty_queues_pop_none() {
-        assert!(CalendarQueue::<Ev>::new().pop().is_none());
-        assert!(HeapQueue::<Ev>::new().pop().is_none());
-        assert!(CalendarQueue::<Ev>::new().next_time().is_none());
-        assert!(HeapQueue::<Ev>::new().next_time().is_none());
+    /// Pushes `(time, seq)` pairs and returns the seqs in pop order.
+    fn pop_order(events: &[(f64, u64)]) -> Vec<u64> {
+        let mut heap: BinaryHeap<HeapEntry<Ev>> = events
+            .iter()
+            .map(|&(t, s)| HeapEntry(Ev { t, s }))
+            .collect();
+        std::iter::from_fn(|| heap.pop()).map(|e| e.0.s).collect()
     }
 
     #[test]
     fn pops_ascend_by_time_then_seq() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = kind.build::<Ev>();
-            // Ties at t = 2.0 must pop in seq order.
-            for (t, s) in [(5.0, 0), (2.0, 1), (2.0, 2), (9.0, 3), (0.5, 4), (2.0, 5)] {
-                q.push(Ev { t, s });
-            }
-            assert_eq!(q.len(), 6);
-            assert_eq!(q.next_time(), Some(0.5));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.s).collect();
-            assert_eq!(order, vec![4, 1, 2, 5, 0, 3], "{kind:?}");
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn wheel_survives_growth_and_shrink_cycles() {
-        let mut q = CalendarQueue::new();
-        // Fill well past several grow thresholds with clustered times,
-        // then drain past the shrink thresholds.
-        for s in 0..500u64 {
-            q.push(Ev {
-                t: (s % 7) as f64 * 0.25 + (s / 7) as f64,
-                s,
-            });
-        }
-        assert_eq!(q.len(), 500);
-        let popped = drain(&mut q);
-        assert_eq!(popped.len(), 500);
-        for pair in popped.windows(2) {
-            let ord = key_cmp(&pair[0], &pair[1]);
-            assert_eq!(ord, Ordering::Less, "pop order violated: {pair:?}");
-        }
-    }
-
-    #[test]
-    fn wheel_handles_sparse_far_future_events() {
-        let mut q = CalendarQueue::new();
-        // Events separated by far more than the ring span force the
-        // rotation-miss jump path.
-        for s in 0..8u64 {
-            q.push(Ev {
-                t: s as f64 * 1.0e6,
-                s,
-            });
-        }
-        let order: Vec<u64> = drain(&mut q).iter().map(|e| e.s).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn wheel_serves_out_of_contract_past_pushes() {
-        let mut q = CalendarQueue::new();
-        for s in 0..32u64 {
-            q.push(Ev {
-                t: 100.0 + s as f64,
-                s,
-            });
-        }
-        let first = q.pop().map(|e| e.s);
-        assert_eq!(first, Some(0));
-        // A push in the past (violating the monotone contract) must
-        // still be served, and promptly.
-        q.push(Ev { t: 1.0, s: 99 });
-        let next = q.pop().map(|e| e.s);
-        assert_eq!(next, Some(99));
-        assert_eq!(q.len(), 31);
+        // Ties at t = 2.0 must pop in seq order.
+        let order = pop_order(&[(5.0, 0), (2.0, 1), (2.0, 2), (9.0, 3), (0.5, 4), (2.0, 5)]);
+        assert_eq!(order, vec![4, 1, 2, 5, 0, 3]);
     }
 
     #[test]
     fn nonfinite_times_degrade_gracefully() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = kind.build::<Ev>();
-            q.push(Ev { t: 1.0, s: 0 });
-            q.push(Ev {
-                t: f64::INFINITY,
-                s: 1,
-            });
-            q.push(Ev { t: 2.0, s: 2 });
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.s).collect();
-            assert_eq!(order, vec![0, 2, 1], "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn default_kind_is_the_wheel() {
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
-    }
-
-    proptest! {
-        /// The tentpole pin: random schedules — clustered times, exact
-        /// ties, interleaved pops — replay byte-identically through the
-        /// wheel and the heap twin.
-        #[test]
-        fn prop_wheel_and_heap_pop_byte_identically(
-            raw in proptest::collection::vec((0u32..2_000, 0u32..4), 1..200),
-            pop_every in 0usize..8,
-            scale in 1usize..4,
-        ) {
-            // Quantized times manufacture plenty of exact ties; `scale`
-            // varies the spread so resizes pick different widths.
-            let events: Vec<Ev> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(q, jitter))| Ev {
-                    t: (q as f64 * scale as f64 + jitter as f64) * 0.125,
-                    s: i as u64,
-                })
-                .collect();
-            // Interleaved pops stay within the monotone contract here
-            // because every push in this stream is enqueued before any
-            // pop that could establish a larger floor — pushes never go
-            // backwards relative to a previous pop's time by more than
-            // the wheel's documented redirect tolerance? No: sorted
-            // pushes are not required by the contract, only that pushes
-            // don't precede *popped* times; the all-push-then-drain case
-            // plus the monotone interleaving below cover both.
-            let (w, h) = replay(&events, pop_every);
-            prop_assert_eq!(w.len(), events.len());
-            assert_bit_identical(&w, &h);
-        }
-
-        /// Monotone interleaved workload shaped like the engines': each
-        /// pop advances "now", each push schedules at `now + dur`.
-        #[test]
-        fn prop_engine_shaped_hold_pattern_is_identical(
-            durs in proptest::collection::vec(1u32..50, 32..128),
-            ties in 0usize..3,
-        ) {
-            let mut wheel = CalendarQueue::new();
-            let mut heap = HeapQueue::new();
-            let mut seq = 0u64;
-            for d in durs.iter().take(16) {
-                let t = *d as f64 * 0.5;
-                for _ in 0..=ties {
-                    wheel.push(Ev { t, s: seq });
-                    heap.push(Ev { t, s: seq });
-                    seq += 1;
-                }
-            }
-            let mut w_out = Vec::new();
-            let mut h_out = Vec::new();
-            for d in durs.iter().skip(16) {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert!(a.is_some() && b.is_some());
-                let now = a.map_or(0.0, |e| e.t);
-                w_out.extend(a);
-                h_out.extend(b);
-                let t = now + *d as f64 * 0.25;
-                wheel.push(Ev { t, s: seq });
-                heap.push(Ev { t, s: seq });
-                seq += 1;
-            }
-            w_out.append(&mut drain(&mut wheel));
-            h_out.append(&mut drain(&mut heap));
-            assert_bit_identical(&w_out, &h_out);
-        }
+        let order = pop_order(&[(1.0, 0), (f64::INFINITY, 1), (2.0, 2)]);
+        assert_eq!(order, vec![0, 2, 1]);
     }
 }

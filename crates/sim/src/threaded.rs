@@ -7,9 +7,8 @@
 //! channel to a server thread owning the [`BufferedServer`]. Latency
 //! heterogeneity is emulated with short real pauses proportional to the
 //! client's Zipf factor, paced by a `WakePacer`: one timer thread
-//! driving the same indexed event queue the deterministic engine
-//! schedules with ([`crate::schedule`]), instead of one OS sleep timer
-//! per client.
+//! driving a `(time, seq)` event heap in the same order the deterministic
+//! engine schedules with, instead of one OS sleep timer per client.
 //!
 //! Unlike [`crate::runner::Simulation`], arrival order depends on the OS
 //! scheduler, so **results are not bit-reproducible across runs** — the
@@ -26,7 +25,7 @@ use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::{RngExt, SeedableRng};
 use asyncfl_telemetry::{Event, SharedSink, Sink, Span, Stopwatch};
 use asyncfl_tensor::Vector;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -36,7 +35,7 @@ use crate::config::SimConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::RunResult;
 use crate::runner::build_attack;
-use crate::schedule::{EventKey, EventQueue, SchedulerKind};
+use crate::schedule::{EventKey, HeapEntry};
 use crate::server::BufferedServer;
 
 /// Per-cycle pause per latency-factor unit (keeps tests fast while still
@@ -68,17 +67,17 @@ impl EventKey for WakeEntry {
     }
 }
 
-/// The pacer's mutex-guarded core: the shared event queue plus the
-/// registration counter that makes the queue's order total.
+/// The pacer's mutex-guarded core: the shared event heap plus the
+/// registration counter that makes the heap's order total.
 struct PacerState {
-    queue: Box<dyn EventQueue<WakeEntry> + Send>,
+    queue: BinaryHeap<HeapEntry<WakeEntry>>,
     next_seq: u64,
 }
 
 /// Latency pacer: client threads register a wake deadline in a shared
-/// [`EventQueue`] — the same scheduler the deterministic engine runs on,
-/// selected by [`SimConfig::scheduler`] — and park; one timer thread
-/// pops due entries and unparks their owners. This replaces the old
+/// `(time, seq)` event heap — the order the deterministic engine runs
+/// on — and park; one timer thread pops due entries and unparks their
+/// owners. This replaces the old
 /// per-client `thread::sleep`, so emulated latency costs one indexed
 /// queue instead of `num_clients` independent OS timers.
 ///
@@ -92,11 +91,11 @@ struct WakePacer {
 }
 
 impl WakePacer {
-    fn new(kind: SchedulerKind) -> Self {
+    fn new() -> Self {
         Self {
             clock: Stopwatch::start(),
             state: Mutex::new(PacerState {
-                queue: kind.build_send(),
+                queue: BinaryHeap::new(),
                 next_seq: 0,
             }),
             bell: Condvar::new(),
@@ -110,11 +109,11 @@ impl WakePacer {
             let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             let seq = s.next_seq;
             s.next_seq += 1;
-            s.queue.push(WakeEntry {
+            s.queue.push(HeapEntry(WakeEntry {
                 deadline,
                 seq,
                 thread: std::thread::current(),
-            });
+            }));
         }
         self.bell.notify_one();
         loop {
@@ -139,9 +138,9 @@ impl WakePacer {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while !done.load(Ordering::Acquire) {
             let now = self.clock.elapsed_secs();
-            match s.queue.next_time() {
+            match s.queue.peek().map(|e| e.0.deadline) {
                 Some(t) if t <= now => {
-                    if let Some(entry) = s.queue.pop() {
+                    if let Some(HeapEntry(entry)) = s.queue.pop() {
                         entry.thread.unpark();
                     }
                 }
@@ -161,7 +160,7 @@ impl WakePacer {
                 }
             }
         }
-        while let Some(entry) = s.queue.pop() {
+        while let Some(HeapEntry(entry)) = s.queue.pop() {
             entry.thread.unpark();
         }
     }
@@ -271,7 +270,7 @@ pub fn run_threaded_with_sink(
 
     let trainer = LocalTrainer::from_profile(&config.profile);
     let (report_tx, report_rx) = mpsc::channel::<u64>();
-    let pacer = WakePacer::new(config.scheduler);
+    let pacer = WakePacer::new();
 
     std::thread::scope(|scope| {
         {

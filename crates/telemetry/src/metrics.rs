@@ -639,7 +639,7 @@ mod tests {
             delta: 1,
         });
         reg.emit(&Event::GaugeSample {
-            name: "event_queue_depth",
+            name: "resident_client_states",
             value: 17,
         });
         let table = reg.render_table();
@@ -650,7 +650,7 @@ mod tests {
         assert!(table.contains("span allocation"));
         assert!(table.contains("peak_live=1024"));
         assert!(table.contains("deferred_requeued"));
-        assert!(table.contains("event_queue_depth"));
+        assert!(table.contains("resident_client_states"));
     }
 
     #[test]

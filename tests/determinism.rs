@@ -13,7 +13,6 @@
 
 use asyncfilter::prelude::*;
 use asyncfilter::sim::runner::build_attack;
-use asyncfilter::sim::schedule::SchedulerKind;
 use std::sync::Arc;
 
 // Run the determinism pins with allocation accounting live: the counting
@@ -40,23 +39,9 @@ fn traced_run(seed: u64) -> (RunResult, Vec<Event>) {
 
 /// As [`traced_run`], with an explicit worker-thread count.
 fn traced_run_threaded(seed: u64, threads: usize) -> (RunResult, Vec<Event>) {
-    traced_run_scheduled(seed, threads, SchedulerKind::Wheel)
-}
-
-/// As [`traced_run_threaded`], with an explicit event-queue scheduler.
-fn traced_run_scheduled(
-    seed: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> (RunResult, Vec<Event>) {
     let mem = Arc::new(MemorySink::new(100_000));
     let sink = SharedSink::from_arc(Arc::clone(&mem) as Arc<dyn Sink>);
-    let mut sim = Simulation::new(
-        small_config()
-            .with_seed(seed)
-            .with_threads(threads)
-            .with_scheduler(scheduler),
-    );
+    let mut sim = Simulation::new(small_config().with_seed(seed).with_threads(threads));
     let attack = build_attack(
         AttackKind::Gd,
         sim.config().num_clients,
@@ -122,58 +107,28 @@ fn worker_pool_replays_byte_identically() {
     assert!(!sequential_verdicts.is_empty());
 }
 
-#[test]
-fn wheel_scheduler_replays_byte_identically() {
-    // Run-level determinism pin for the default calendar-queue scheduler
-    // (DESIGN.md §12): two identically seeded runs through the wheel must
-    // agree bit-for-bit, exactly as the heap-backed engine always has.
-    let (first, first_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Wheel);
-    let (second, second_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Wheel);
-    assert_eq!(first, second);
-    assert_eq!(
-        format!("{first_verdicts:?}"),
-        format!("{second_verdicts:?}"),
-        "wheel-scheduled filter verdicts diverged between identical seeded runs"
-    );
-    assert!(!first_verdicts.is_empty());
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
-fn heap_twin_replays_byte_identically() {
-    // The binary-heap differential twin stays a first-class citizen: the
-    // same run-level pin holds when the heap is selected explicitly.
-    let (first, first_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Heap);
-    let (second, second_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Heap);
-    assert_eq!(first, second);
-    assert_eq!(
-        format!("{first_verdicts:?}"),
-        format!("{second_verdicts:?}"),
-        "heap-scheduled filter verdicts diverged between identical seeded runs"
-    );
-    assert!(!first_verdicts.is_empty());
-}
-
-#[test]
-fn wheel_and_heap_schedulers_agree_byte_identically() {
-    // Differential pin: the calendar queue must pop the event stream in
-    // exactly the heap's (completes_at, seq) order, so entire runs — round
-    // reports and every per-update verdict — match bit-for-bit across the
-    // two schedulers, at threads=1 and on the worker pool.
-    for threads in [1, 4] {
-        let (wheel, wheel_verdicts) = traced_run_scheduled(42, threads, SchedulerKind::Wheel);
-        let (heap, heap_verdicts) = traced_run_scheduled(42, threads, SchedulerKind::Heap);
-        assert_eq!(wheel, heap, "run results diverged at threads={threads}");
+fn golden_digest_is_stable_across_commits() {
+    // Cross-commit pin: the other tests compare two runs of one binary,
+    // so they cannot see a shift that moves every run alike (a change of
+    // event order, a reduction or a stream). This digest of the whole
+    // `RunResult` and every per-update verdict is recorded once; any
+    // byte that moves changes it.
+    for (threads, want) in [(1, 0x9dcf_c0e3_6f69_d4d2_u64), (4, 0x9dcf_c0e3_6f69_d4d2)] {
+        let (result, verdicts) = traced_run_threaded(42, threads);
+        let text = format!("{result:?}{verdicts:?}");
+        let got = fnv1a64(text.as_bytes());
         assert_eq!(
-            format!("{:?}", wheel.round_reports),
-            format!("{:?}", heap.round_reports),
-            "round reports diverged between wheel and heap at threads={threads}"
+            got, want,
+            "golden digest moved at threads={threads}: {got:#018x}"
         );
-        assert_eq!(
-            format!("{wheel_verdicts:?}"),
-            format!("{heap_verdicts:?}"),
-            "filter verdicts diverged between wheel and heap at threads={threads}"
-        );
-        assert!(!wheel_verdicts.is_empty());
     }
 }
 

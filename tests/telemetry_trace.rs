@@ -244,7 +244,6 @@ fn traced_runs_carry_gauges_and_alloc_annotated_spans() {
     for expected in [
         "buffer_occupancy",
         "deferred_queue_depth",
-        "event_queue_depth",
         "resident_client_states",
         "alloc_live_bytes",
     ] {
