@@ -12,8 +12,9 @@ use std::hint::black_box;
 fn bench_kmeans_1d(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeans_1d");
     let mut rng = StdRng::seed_from_u64(0);
-    // 40 = the paper's aggregation bound; larger sizes stress the O(k n^2) DP.
-    for n in [40usize, 150, 400] {
+    // 40 = the paper's aggregation bound; 8192 = the scale workloads' Ω,
+    // where the divide-and-conquer layers replace an O(k n^2) table.
+    for n in [40usize, 1024, 8192] {
         let scores: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
         group.bench_with_input(BenchmarkId::new("k3", n), &n, |bench, _| {
             bench.iter(|| black_box(kmeans_1d(&scores, 3)))

@@ -206,6 +206,16 @@ pub struct NormPathCounts {
     pub fused: u64,
 }
 
+/// The sanitize predicate, shared by `filter` and `on_buffered` so pending
+/// arrival records stay aligned with the scored batch: a finite cached
+/// `‖ω‖²`. That implies finite coordinates, and it also excludes finite
+/// coordinates whose squares overflow, for which the eq. 6 identity
+/// evaluates `inf − inf` and the distance clamp would report `0.0`, the
+/// most benign score. `O(1)` per update.
+fn scorable(u: &ClientUpdate) -> bool {
+    u.params_norm_squared().is_finite()
+}
+
 /// Coordinate-wise 25%-trimmed mean used to bootstrap new-group estimates.
 /// Borrows the parameter vectors — no update is cloned. Empty input (never
 /// produced by the callers) yields an empty vector.
@@ -514,14 +524,15 @@ impl UpdateFilter for AsyncFilter {
             return outcome;
         }
 
-        // Sanitize: non-finite parameters are trivially poisoned. All-finite
-        // buffers (the steady state) keep their Vec as-is; the partition
-        // allocation only happens when something is actually broken.
+        // Sanitize: updates that cannot be scored are trivially poisoned.
+        // Scorable buffers (the steady state) keep their Vec as-is; the
+        // partition allocation only happens when something is actually
+        // broken.
         let (mut finite, broken): (Vec<ClientUpdate>, Vec<ClientUpdate>) =
-            if updates.iter().all(|u| u.params.is_finite()) {
+            if updates.iter().all(scorable) {
                 (updates, Vec::new())
             } else {
-                updates.into_iter().partition(|u| u.params.is_finite())
+                updates.into_iter().partition(scorable)
             };
         outcome.rejected.extend(broken);
 
@@ -871,9 +882,9 @@ impl UpdateFilter for AsyncFilter {
     /// `filter_distances_computed` counter is bumped here, at arrival, so
     /// per-emission deltas show where the work actually runs.
     fn on_buffered(&mut self, update: &ClientUpdate, ctx: &FilterContext<'_>) {
-        // Non-finite updates are partitioned out before scoring; recording
-        // no entry keeps the pending list aligned with the finite batch.
-        if !update.params.is_finite() {
+        // Unscorable updates are partitioned out before scoring; recording
+        // no entry keeps the pending list aligned with the scorable batch.
+        if !scorable(update) {
             return;
         }
         let key = self.group_key(update.staleness);
@@ -996,6 +1007,34 @@ mod tests {
         let out = f.filter(updates, &ctx_with(&g));
         assert_eq!(out.rejected.len(), 2);
         assert!(out.rejected.iter().all(|u| u.truth_malicious));
+    }
+
+    #[test]
+    fn overflowing_norm_is_rejected_not_scored_benign() {
+        // Finite coordinates whose ‖ω‖² overflows: the eq. 6 identity
+        // computes inf − inf = NaN, and the distance clamp would turn that
+        // into 0.0, the most benign score in the buffer.
+        let mut updates: Vec<ClientUpdate> = (0..9)
+            .map(|i| upd(i, 0, &[1.0 + 0.05 * i as f64, 2.0 - 0.05 * i as f64], false))
+            .collect();
+        updates.push(upd(9, 0, &[1e308, 1e308], true));
+        assert!(updates[9].params.is_finite());
+        assert!(updates[9].params_norm_squared().is_infinite());
+
+        let mut f = AsyncFilter::default();
+        let g = Vector::zeros(2);
+        let ctx = ctx_with(&g);
+        for u in &updates {
+            f.on_buffered(u, &ctx);
+        }
+        let out = f.filter(updates, &ctx);
+        assert!(out.rejected.iter().any(|u| u.client == 9), "overflow kept");
+        assert!(out.accepted.iter().all(|u| u.client != 9));
+        assert!(f.last_scores().iter().all(|s| s.client != 9));
+        assert!(f
+            .groups
+            .values()
+            .all(|s| s.ma.is_finite() && s.norm_sq.is_finite()));
     }
 
     #[test]
