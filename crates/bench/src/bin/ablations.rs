@@ -6,16 +6,13 @@
 //!
 //! ```text
 //! cargo run --release -p asyncfl-bench --bin ablations \
-//!     [-- --quick] [--threads N] [--trace FILE] [--bench-json FILE]
+//!     [-- --quick] [--threads N] [--trace FILE]
 //! ```
 //!
-//! `--threads N` runs each simulation on the deterministic worker pool;
-//! `--bench-json FILE` writes per-variant wall clocks and the telemetry span
-//! breakdown as a machine-readable perf artifact.
+//! `--threads N` runs each simulation on the deterministic worker pool.
 
 use asyncfl_analysis::report::{pct, Table};
 use asyncfl_attacks::AttackKind;
-use asyncfl_bench::perf::{counter_rows, gauge_rows, phase_rows, run_rss_probe, BenchJson};
 use asyncfl_bench::TraceHandle;
 use asyncfl_core::aggregation::MeanAggregator;
 use asyncfl_core::asyncfilter::{
@@ -24,11 +21,9 @@ use asyncfl_core::asyncfilter::{
 use asyncfl_data::DatasetProfile;
 use asyncfl_sim::config::SimConfig;
 use asyncfl_sim::runner::{build_attack, Simulation};
-use asyncfl_telemetry::metrics::MetricsRegistry;
-use asyncfl_telemetry::{SharedSink, Sink, Stopwatch};
-use std::sync::Arc;
 
-// Count allocations so --bench-json reports real alloc/RSS numbers.
+// Count allocations so the --trace summary's per-span alloc_bytes are real
+// numbers.
 #[global_allocator]
 static ALLOC: asyncfl_telemetry::alloc::CountingAllocator =
     asyncfl_telemetry::alloc::CountingAllocator::new();
@@ -50,14 +45,6 @@ fn main() {
             })
         })
         .max(1);
-    let bench_json_path = args.iter().position(|a| a == "--bench-json").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--bench-json requires a file path");
-                std::process::exit(2);
-            })
-            .clone()
-    });
     let trace = args.iter().position(|a| a == "--trace").map(|i| {
         let path = args.get(i + 1).unwrap_or_else(|| {
             eprintln!("--trace requires a file path");
@@ -68,20 +55,6 @@ fn main() {
             std::process::exit(1);
         })
     });
-    // --bench-json without --trace still needs span histograms.
-    let standalone_registry: Option<Arc<MetricsRegistry>> =
-        if bench_json_path.is_some() && trace.is_none() {
-            Some(Arc::new(MetricsRegistry::new()))
-        } else {
-            None
-        };
-    let run_sink = |trace: Option<&TraceHandle>| -> Option<SharedSink> {
-        trace.map(TraceHandle::sink).or_else(|| {
-            standalone_registry
-                .as_ref()
-                .map(|r| SharedSink::from_arc(Arc::clone(r) as Arc<dyn Sink>))
-        })
-    };
     let attacks = [AttackKind::None, AttackKind::Gd, AttackKind::MinSum];
 
     let variants: Vec<(&str, AsyncFilterConfig)> = vec![
@@ -162,9 +135,7 @@ fn main() {
         "AsyncFilter design ablations (FashionMNIST, paper-default setting)",
         attacks.iter().map(|a| a.label().to_string()).collect(),
     );
-    let mut experiment_secs: Vec<(String, f64)> = Vec::new();
     for (label, config) in variants {
-        let started = Stopwatch::start();
         let mut row = Vec::new();
         for &attack in &attacks {
             let mut sim_config = SimConfig::paper_default(DatasetProfile::FashionMnist);
@@ -179,11 +150,10 @@ fn main() {
                 Box::new(AsyncFilter::new(config.clone())),
                 built,
                 Box::new(MeanAggregator::new()),
-                run_sink(trace.as_ref()),
+                trace.as_ref().map(TraceHandle::sink),
             );
             row.push(pct(result.final_accuracy));
         }
-        experiment_secs.push((label.to_string(), started.elapsed_secs()));
         table.push_row(label, row);
         eprint!(".");
     }
@@ -191,32 +161,5 @@ fn main() {
     println!("{}", table.to_markdown());
     if let Some(handle) = &trace {
         print!("{}", handle.finish());
-    }
-
-    if let Some(path) = bench_json_path {
-        let registry: Option<&MetricsRegistry> = trace
-            .as_ref()
-            .map(|h| h.registry())
-            .or(standalone_registry.as_deref());
-        let artifact = BenchJson {
-            binary: "ablations",
-            quick,
-            threads,
-            total_secs: experiment_secs.iter().map(|(_, s)| s).sum(),
-            experiments: experiment_secs,
-            phases: registry.map(phase_rows).unwrap_or_default(),
-            counters: registry.map(counter_rows).unwrap_or_default(),
-            gauges: registry.map(gauge_rows).unwrap_or_default(),
-            scaling: None,
-            training: None,
-            filter_wide: None,
-            scale_1m: None,
-            rss: Some(run_rss_probe()),
-        };
-        if let Err(e) = artifact.write(&path) {
-            eprintln!("failed to write --bench-json {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("bench json written to {path}");
     }
 }

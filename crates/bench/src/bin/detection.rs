@@ -7,20 +7,18 @@
 //!
 //! ```text
 //! cargo run --release -p asyncfl-bench --bin detection \
-//!     [-- --quick] [--threads N] [--trace FILE] [--bench-json FILE]
+//!     [-- --quick] [--threads N] [--trace FILE]
 //! ```
 //!
 //! With `--trace FILE` every run also streams telemetry events into a JSONL
 //! file, and the binary cross-checks the trace against its own numbers: the
 //! `filter_score` verdict counts must reconcile exactly with the summed
 //! `DetectionStats` confusion matrix. `--threads N` runs each simulation on
-//! the deterministic worker pool; `--bench-json FILE` writes per-attack wall
-//! clocks and the span breakdown as a machine-readable perf artifact.
+//! the deterministic worker pool.
 
 use asyncfl_analysis::detection::{auc, LabelledScore};
 use asyncfl_analysis::report::Table;
 use asyncfl_attacks::AttackKind;
-use asyncfl_bench::perf::{counter_rows, gauge_rows, phase_rows, run_rss_probe, BenchJson};
 use asyncfl_bench::TraceHandle;
 use asyncfl_core::aggregation::MeanAggregator;
 use asyncfl_core::asyncfilter::{AsyncFilter, ScoreRecord};
@@ -29,11 +27,11 @@ use asyncfl_data::DatasetProfile;
 use asyncfl_sim::config::SimConfig;
 use asyncfl_sim::metrics::DetectionStats;
 use asyncfl_sim::runner::{build_attack, Simulation};
-use asyncfl_telemetry::metrics::MetricsRegistry;
-use asyncfl_telemetry::{SharedSink, Sink, Stopwatch, Verdict};
+use asyncfl_telemetry::Verdict;
 use std::sync::{Arc, Mutex};
 
-// Count allocations so --bench-json reports real alloc/RSS numbers.
+// Count allocations so the --trace summary's per-span alloc_bytes are real
+// numbers.
 #[global_allocator]
 static ALLOC: asyncfl_telemetry::alloc::CountingAllocator =
     asyncfl_telemetry::alloc::CountingAllocator::new();
@@ -80,14 +78,6 @@ fn main() {
             })
         })
         .max(1);
-    let bench_json_path = args.iter().position(|a| a == "--bench-json").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--bench-json requires a file path");
-                std::process::exit(2);
-            })
-            .clone()
-    });
     let trace = args.iter().position(|a| a == "--trace").map(|i| {
         let path = args.get(i + 1).unwrap_or_else(|| {
             eprintln!("--trace requires a file path");
@@ -98,22 +88,6 @@ fn main() {
             std::process::exit(1);
         })
     });
-    // --bench-json without --trace still needs span histograms.
-    let standalone_registry: Option<Arc<MetricsRegistry>> =
-        if bench_json_path.is_some() && trace.is_none() {
-            Some(Arc::new(MetricsRegistry::new()))
-        } else {
-            None
-        };
-    let run_sink = |trace: Option<&TraceHandle>| -> Option<SharedSink> {
-        trace.map(TraceHandle::sink).or_else(|| {
-            standalone_registry
-                .as_ref()
-                .map(|r| SharedSink::from_arc(Arc::clone(r) as Arc<dyn Sink>))
-        })
-    };
-
-    let mut experiment_secs: Vec<(String, f64)> = Vec::new();
     let mut totals = DetectionStats::default();
     let mut table = Table::new(
         "AsyncFilter detection quality (FashionMNIST, paper-default setting)",
@@ -126,7 +100,6 @@ fn main() {
         ],
     );
     for attack in AttackKind::ATTACKS_ONLY {
-        let started = Stopwatch::start();
         let mut cfg = SimConfig::paper_default(DatasetProfile::FashionMnist);
         cfg.threads = threads;
         if quick {
@@ -144,7 +117,7 @@ fn main() {
             Box::new(filter),
             built,
             Box::new(MeanAggregator::new()),
-            run_sink(trace.as_ref()),
+            trace.as_ref().map(TraceHandle::sink),
         );
         let observations: Vec<LabelledScore> = records
             .lock()
@@ -169,7 +142,6 @@ fn main() {
                 format!("{:.3}", auc(&observations)),
             ],
         );
-        experiment_secs.push((attack.label().to_string(), started.elapsed_secs()));
         eprint!(".");
     }
     eprintln!();
@@ -198,32 +170,5 @@ fn main() {
             std::process::exit(1);
         }
         println!("reconciliation: OK (trace verdicts match the confusion matrix exactly)");
-    }
-
-    if let Some(path) = bench_json_path {
-        let registry: Option<&MetricsRegistry> = trace
-            .as_ref()
-            .map(|h| h.registry())
-            .or(standalone_registry.as_deref());
-        let artifact = BenchJson {
-            binary: "detection",
-            quick,
-            threads,
-            total_secs: experiment_secs.iter().map(|(_, s)| s).sum(),
-            experiments: experiment_secs,
-            phases: registry.map(phase_rows).unwrap_or_default(),
-            counters: registry.map(counter_rows).unwrap_or_default(),
-            gauges: registry.map(gauge_rows).unwrap_or_default(),
-            scaling: None,
-            training: None,
-            filter_wide: None,
-            scale_1m: None,
-            rss: Some(run_rss_probe()),
-        };
-        if let Err(e) = artifact.write(&path) {
-            eprintln!("failed to write --bench-json {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("bench json written to {path}");
     }
 }

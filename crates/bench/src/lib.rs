@@ -1,5 +1,5 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation (§5) and hosts the Criterion micro-benchmarks.
+//! evaluation (§5).
 //!
 //! The [`experiments`] module defines one entry per paper artifact
 //! (Tables 2–10, Figs. 3–4, 6–7) — each pins the exact workload (dataset
@@ -14,13 +14,16 @@
 //! ```
 //!
 //! or a single artifact: `… -- table5`, `… -- fig7 --quick`, etc.
+//!
+//! Throughput and per-layer timing live in `perfbench/` (see its README).
+//! Allocation bounds on the hot paths are tests in the workspace's
+//! `tests/` directory (`hot_path_alloc.rs`, `filter_pass_alloc.rs`,
+//! `memory_scale.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod experiments;
-pub mod perf;
 pub mod trace;
 
 pub use experiments::{ExperimentId, RunOptions};

@@ -82,11 +82,16 @@ impl Aggregator for MeanAggregator {
             .iter()
             .map(|u| u.num_samples as f64 * self.staleness.weight(u.staleness))
             .collect();
-        let deltas: Vec<Vector> = updates.iter().map(|u| u.delta.clone()).collect();
-        match stats::weighted_mean_vector(&deltas, &weights) {
-            Some(mean) => global + &mean,
-            None => global.clone(),
+        // Accumulate the weighted mean straight from the deltas, with no
+        // per-update copy. A weight sum that is not positive adds nothing.
+        let total = sum_seq(weights.iter().copied());
+        let mut mean = Vector::zeros(global.len());
+        if total > 0.0 {
+            for (u, &w) in updates.iter().zip(&weights) {
+                mean.axpy(w / total, &u.delta);
+            }
         }
+        global + &mean
     }
 }
 

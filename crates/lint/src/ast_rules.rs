@@ -140,7 +140,7 @@ fn name_resolution_hits(
     let d1_applies = !class.is_bench_crate && !class.is_test_file;
     let d2_applies = !class.is_bench_crate && !class.is_telemetry_crate;
     let d3_applies = !class.is_test_file;
-    let d4_applies = !class.is_telemetry_crate && !class.is_criterion_crate;
+    let d4_applies = !class.is_telemetry_crate;
 
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident {

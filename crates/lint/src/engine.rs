@@ -79,8 +79,6 @@ pub struct FileClass {
     pub is_bench_crate: bool,
     /// Part of `crates/telemetry` (owns the wall clock; exempt from D2/D4).
     pub is_telemetry_crate: bool,
-    /// Part of `crates/criterion` (vendored measurement shim; exempt from D4).
-    pub is_criterion_crate: bool,
 }
 
 impl FileClass {
@@ -100,7 +98,6 @@ impl FileClass {
             is_example: has_dir("examples"),
             is_bench_crate: crate_name.as_deref() == Some("bench"),
             is_telemetry_crate: crate_name.as_deref() == Some("telemetry"),
-            is_criterion_crate: crate_name.as_deref() == Some("criterion"),
             crate_name,
         }
     }

@@ -1,10 +1,10 @@
 //! Human and machine-readable rendering of lint results.
 //!
 //! The JSON schema is stable and versioned (`asyncfl-lint-v2`): CI archives
-//! the report next to the bench-diff table, and
-//! `crates/bench/tests/lint_report_roundtrip.rs` round-trips it through
-//! `asyncfl-bench`'s own JSON parser, so snippet lines containing quotes
-//! and backslashes (i.e. most Rust source) are covered by test, not hope.
+//! the report, and `crates/lint/tests/lint_report_roundtrip.rs`
+//! round-trips it through an independent JSON parser, so snippet lines
+//! containing quotes and backslashes (i.e. most Rust source) are covered
+//! by test, not hope.
 
 use crate::engine::Diagnostic;
 

@@ -91,7 +91,7 @@ pub fn scan(lexed: &Lexed, class: &FileClass, in_test: &[bool]) -> Vec<RuleHit> 
 
     let d1_applies = !class.is_bench_crate && !class.is_test_file;
     let d2_applies = !class.is_bench_crate && !class.is_telemetry_crate;
-    let d4_applies = !class.is_telemetry_crate && !class.is_criterion_crate;
+    let d4_applies = !class.is_telemetry_crate;
     let d3_applies = !class.is_test_file;
     let f2_applies = !class.is_test_file;
     let p1_applies =
@@ -156,11 +156,10 @@ pub fn scan(lexed: &Lexed, class: &FileClass, in_test: &[bool]) -> Vec<RuleHit> 
         }
 
         // D4 — one sanctioned wall clock. Every timing measurement flows
-        // through `asyncfl_telemetry::Stopwatch` so span nanos, bench wall
-        // clocks and scaling probes all read the same clock, and the audit
+        // through `asyncfl_telemetry::Stopwatch` so span nanos and the
+        // harness wall clocks read the same clock, and the audit
         // surface for time-dependence stays a single module. The telemetry
-        // crate (which owns the clock) and the criterion shim (a vendored
-        // measurement harness) are the only places allowed to touch
+        // crate, which owns the clock, is the only place allowed to touch
         // `Instant` directly.
         if d4_applies
             && t.kind == TokenKind::Ident

@@ -1,17 +1,18 @@
-//! Round-trips `asyncfl-lint`'s `--json` report through `asyncfl-bench`'s
-//! own JSON parser.
+//! Round-trips `asyncfl-lint`'s `--json` report through an independent
+//! JSON parser (`json/mod.rs`).
 //!
 //! The lint report embeds raw Rust source lines in its `snippet` fields —
 //! strings full of quotes, backslashes and braces. Both the emitter
-//! (`asyncfl_lint::report`) and this parser (`asyncfl_bench::diff`) are
-//! hand-rolled (the workspace is dependency-free), so the escaping
-//! contract between them is pinned here by test rather than by
-//! convention: whatever `render_json` writes, `parse_json` must read back
-//! verbatim.
+//! (`asyncfl_lint::report`) and the parser are hand-rolled (the workspace
+//! is dependency-free), so the escaping contract between them is pinned
+//! here by test rather than by convention: whatever `render_json` writes,
+//! `parse_json` must read back verbatim.
 
-use asyncfl_bench::diff::{parse_json, Value};
+mod json;
+
 use asyncfl_lint::report::JSON_SCHEMA;
 use asyncfl_lint::RunSummary;
+use json::{parse_json, Value};
 
 /// Lints a nasty-but-real source under a library path and returns the
 /// parsed JSON report.

@@ -41,6 +41,7 @@ pub struct BufferedServer {
     detection: DetectionStats,
     received: u64,
     discarded_stale: u64,
+    discarded_malformed: u64,
     staleness_histogram: BTreeMap<u64, u64>,
     sink: Option<SharedSink>,
 }
@@ -71,6 +72,7 @@ impl BufferedServer {
             detection: DetectionStats::default(),
             received: 0,
             discarded_stale: 0,
+            discarded_malformed: 0,
             staleness_histogram: BTreeMap::new(),
             sink: None,
         }
@@ -131,6 +133,12 @@ impl BufferedServer {
         self.discarded_stale
     }
 
+    /// Reports discarded because their `params` or `delta` dimension
+    /// differs from the global model's.
+    pub fn discarded_malformed(&self) -> u64 {
+        self.discarded_malformed
+    }
+
     /// Histogram of staleness among buffered reports.
     pub fn staleness_histogram(&self) -> &BTreeMap<u64, u64> {
         &self.staleness_histogram
@@ -143,6 +151,11 @@ impl BufferedServer {
 
     /// Receives one client report. Returns `Some` when this report
     /// triggered an aggregation.
+    ///
+    /// A report whose dimension differs from the global model's is
+    /// discarded like a stale one: a Byzantine client may send anything,
+    /// and one malformed report must not reach the filter pass, whose
+    /// vector kernels panic on mismatched dimensions.
     pub fn receive(&mut self, mut update: ClientUpdate) -> Option<AggregationReport> {
         self.received += 1;
         let staleness = self.round.saturating_sub(update.base_round);
@@ -152,6 +165,15 @@ impl BufferedServer {
             round: self.round,
             staleness,
         });
+        let dim = self.global.len();
+        if update.params.len() != dim || update.delta.len() != dim {
+            self.discarded_malformed += 1;
+            self.emit(Event::CounterAdd {
+                name: "updates_discarded_malformed",
+                delta: 1,
+            });
+            return None;
+        }
         if staleness > self.staleness_limit {
             self.discarded_stale += 1;
             self.emit(Event::UpdateDiscardedStale {
@@ -400,6 +422,42 @@ mod tests {
         assert!(s.receive(upd(2, 0, &[1.0, 1.0])).is_none());
         assert_eq!(s.discarded_stale(), 1);
         assert_eq!(s.buffer_len(), 0);
+    }
+
+    #[test]
+    fn wrong_dimension_reports_are_discarded_not_fatal() {
+        use asyncfl_telemetry::{MemorySink, MetricsRegistry, SharedSink, Sink};
+        use std::sync::Arc;
+
+        let mem = Arc::new(MemorySink::new(1024));
+        let mut s = BufferedServer::new(
+            Vector::zeros(8),
+            4,
+            20,
+            Box::new(AsyncFilter::default()),
+            Box::new(MeanAggregator::new()),
+        )
+        .with_sink(SharedSink::from_arc(mem.clone()));
+        for i in 0..3 {
+            assert!(s.receive(upd(i, 0, &[0.1 * i as f64; 8])).is_none());
+        }
+        // The fourth report would fill the buffer; one coordinate short,
+        // it must not reach the filter pass, which panics on it.
+        assert!(s.receive(upd(3, 0, &[0.5; 7])).is_none());
+        assert!(s.receive(upd(4, 0, &[0.5; 9])).is_none());
+        assert_eq!(s.discarded_malformed(), 2);
+        assert_eq!(s.buffer_len(), 3);
+        let report = s.receive(upd(5, 0, &[0.3; 8])).expect("bound reached");
+        assert_eq!(report.accepted + report.rejected + report.deferred, 4);
+        assert_eq!(s.global().len(), 8);
+        assert_eq!(s.received(), 6);
+
+        let registry = MetricsRegistry::new();
+        for event in &mem.events() {
+            registry.emit(event);
+        }
+        assert_eq!(registry.counter("updates_discarded_malformed"), 2);
+        assert_eq!(mem.count_kind("update_received"), 6);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! A first-party counting global allocator.
 //!
-//! `BENCH_*.json` used to record only wall-clock spans, so a memory blowup
-//! in the filter hot path or the million-client roadmap work would stay
-//! invisible until OOM. [`CountingAllocator`] wraps [`std::alloc::System`]
-//! and keeps five process-wide atomic counters — bytes allocated, bytes
-//! freed, live bytes, peak live bytes, and allocation count — that
-//! [`crate::Span`] samples to attribute allocation activity to the
-//! `filter`/`aggregate`/`local_training` phases, and that the bench
-//! binaries fold into the `peak_rss_estimate` probe.
+//! Wall-clock spans alone leave a memory blowup invisible until OOM.
+//! [`CountingAllocator`] wraps [`std::alloc::System`] and keeps five
+//! process-wide atomic counters — bytes allocated, bytes freed, live
+//! bytes, peak live bytes, and allocation count. [`crate::Span`] samples
+//! them to attribute allocation activity to the
+//! `filter`/`aggregate`/`local_training` phases of a `--trace` run, and
+//! the allocation-bound tests (`tests/hot_path_alloc.rs`,
+//! `tests/filter_pass_alloc.rs`, `tests/memory_scale.rs`) read them
+//! directly to bound the hot paths.
 //!
 //! Install it in a binary (or an integration-test) root:
 //!
@@ -19,8 +20,7 @@
 //!
 //! When no `CountingAllocator` is installed every counter stays zero and
 //! [`is_active`] returns `false`; span events then carry zero allocation
-//! deltas, which downstream consumers (the metrics registry, the bench
-//! artifact, `asyncfl-bench-diff`) treat as "not measured".
+//! deltas, which the metrics registry's summary treats as "not measured".
 //!
 //! The implementation is intentionally simple and hermetic: five relaxed
 //! atomics, no thread-local caching, no sampling. The counters are

@@ -220,9 +220,8 @@ impl MetricsRegistry {
             .cloned()
     }
 
-    /// Snapshot of every span's latency histogram, keyed by span name.
-    /// This is the per-phase breakdown the bench binaries export to
-    /// `BENCH_*.json` (local training / filter / aggregation timings).
+    /// Snapshot of every span's latency histogram, keyed by span name
+    /// (local training / filter / aggregation timings).
     pub fn spans(&self) -> BTreeMap<&'static str, Log2Histogram> {
         self.inner
             .lock()

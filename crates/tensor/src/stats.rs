@@ -219,34 +219,6 @@ fn reduce_key_columns<V: Borrow<Vector>>(
     out
 }
 
-/// Weighted mean of vectors with the given nonnegative weights.
-///
-/// Weights are normalized internally; a zero weight-sum yields the zero
-/// vector. Returns `None` for an empty collection.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != vectors.len()` or dimensions differ.
-pub fn weighted_mean_vector(vectors: &[Vector], weights: &[f64]) -> Option<Vector> {
-    let first = vectors.first()?;
-    assert_eq!(
-        vectors.len(),
-        weights.len(),
-        "weighted_mean: {} vectors but {} weights",
-        vectors.len(),
-        weights.len()
-    );
-    let total = kernels::sum_seq(weights.iter().copied());
-    let mut acc = Vector::zeros(first.len());
-    if total <= 0.0 {
-        return Some(acc);
-    }
-    for (v, &w) in vectors.iter().zip(weights) {
-        acc.axpy(w / total, v);
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,16 +403,6 @@ mod tests {
         let _ = trimmed_mean_vector(&vs, 1);
     }
 
-    #[test]
-    fn weighted_mean_normalizes() {
-        let vs = vecs(&[&[0.0], &[10.0]]);
-        let m = weighted_mean_vector(&vs, &[1.0, 3.0]).unwrap();
-        assert!((m[0] - 7.5).abs() < 1e-12);
-        let z = weighted_mean_vector(&vs, &[0.0, 0.0]).unwrap();
-        assert_eq!(z[0], 0.0);
-        assert_eq!(weighted_mean_vector(&[], &[]), None);
-    }
-
     proptest! {
         #[test]
         fn prop_median_between_min_max(xs in proptest::collection::vec(-1e6..1e6f64, 1..64)) {
@@ -472,18 +434,6 @@ mod tests {
         ) {
             let vs: Vec<Vector> = rows.into_iter().map(Vector::from).collect();
             let a = trimmed_mean_vector(&vs, 0).unwrap();
-            let b = mean_vector(&vs).unwrap();
-            prop_assert!(a.distance(&b) < 1e-9);
-        }
-
-        #[test]
-        fn prop_weighted_mean_uniform_weights_equals_mean(
-            rows in proptest::collection::vec(
-                proptest::collection::vec(-100.0..100.0f64, 3), 1..16),
-        ) {
-            let vs: Vec<Vector> = rows.into_iter().map(Vector::from).collect();
-            let w = vec![1.0; vs.len()];
-            let a = weighted_mean_vector(&vs, &w).unwrap();
             let b = mean_vector(&vs).unwrap();
             prop_assert!(a.distance(&b) < 1e-9);
         }
