@@ -192,26 +192,13 @@ impl Default for AsyncFilterConfig {
     }
 }
 
-/// How each `absorb` refreshed the cached `‖MA‖²` (lifetime totals; the
-/// per-emission deltas become the `filter_norm_*` telemetry counters).
-/// Every absorb takes exactly one of the two paths, both bit-identical to
-/// re-reducing the estimate fresh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NormPathCounts {
-    /// EMA cold start: the estimate *is* the update, so its cached norm is
-    /// adopted verbatim (bit-identical to re-reducing the copied vector).
-    pub adopted: u64,
-    /// Default warm path: one fused lerp+reduce pass over the estimate,
-    /// bit-identical to the historical lerp-then-reduce two-pass.
-    pub fused: u64,
-}
-
-/// The sanitize predicate, shared by `filter` and `on_buffered` so pending
-/// arrival records stay aligned with the scored batch: a finite cached
-/// `‖ω‖²`. That implies finite coordinates, and it also excludes finite
-/// coordinates whose squares overflow, for which the eq. 6 identity
-/// evaluates `inf − inf` and the distance clamp would report `0.0`, the
-/// most benign score. `O(1)` per update.
+/// The sanitize predicate: a finite cached `‖ω‖²`. That implies finite
+/// coordinates, and it also excludes finite coordinates whose squares
+/// overflow, for which the eq. 6 identity evaluates `inf − inf` and the
+/// distance clamp would report `0.0`, the most benign score. `O(1)` per
+/// update. `BufferedServer` already discards such reports at receipt; the
+/// partition keeps the contract for callers that drive the filter
+/// directly.
 fn scorable(u: &ClientUpdate) -> bool {
     u.params_norm_squared().is_finite()
 }
@@ -242,43 +229,14 @@ struct GroupState {
     norm_sq: f64,
 }
 
-/// Arrival-time scoring work for one buffered update, recorded by
-/// [`AsyncFilter::on_buffered`] and consumed by the next `filter` pass.
-///
-/// Validity rests on one invariant (see `DESIGN.md` §10): group estimates
-/// mutate only inside `filter` passes, every pass consumes the whole buffer,
-/// and the server round does not advance between an update's buffering and
-/// the pass that consumes it. A distance measured against a live estimate at
-/// arrival is therefore bit-identical to the one the pass would compute.
-#[derive(Debug, Clone, PartialEq)]
-struct PendingArrival {
-    client: usize,
-    base_round: u64,
-    defers: u32,
-    staleness: u64,
-    /// Bit-exact `‖ω‖²` at arrival; matched against the update's cached
-    /// norm as an identity checksum before a cached distance is trusted.
-    params_norm_sq: f64,
-    /// Squared eq. 6 distance to the live own-group estimate, or `None`
-    /// when the group had no history at arrival (bootstrap estimates
-    /// depend on full-buffer state and are always computed at pass time).
-    own_dist_sq: Option<f64>,
-    /// `CrossGroup` normalization only: squared distance to every live
-    /// group estimate, keyed by group, ascending. Empty in other modes.
-    cross_dist_sq: Vec<(u64, f64)>,
-}
-
 /// Buffers reused across `filter` passes so the steady-state hot path
 /// allocates nothing: sized once for the largest buffer seen, then recycled.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct Scratch {
     /// Per-update staleness-group key (eq. 4).
     keys: Vec<u64>,
-    /// Sorted, deduplicated group keys — replaces the per-pass
-    /// `BTreeMap<u64, Vec<usize>>` the batch engine used to allocate.
+    /// Sorted, deduplicated group keys.
     uniq: Vec<u64>,
-    /// Per-update index into the pass's pending-arrival list, if matched.
-    cached: Vec<Option<usize>>,
     dist_sq: Vec<f64>,
     dist: Vec<f64>,
     scores: Vec<f64>,
@@ -293,27 +251,20 @@ struct Scratch {
 /// Stateful across rounds: it owns one moving-average estimate per staleness
 /// group (eq. 5). Create one per training run.
 ///
-/// Scoring is incremental when the server cooperates: the
-/// [`UpdateFilter::on_buffered`] hook measures each update's eq. 6 distance
-/// at arrival time, so a full-buffer `filter` pass only computes distances
-/// for updates that arrived without a hook call (the batch fallback every
-/// existing caller gets) or whose group had no live estimate yet.
+/// Every eq. 6 distance is computed inside the `filter` pass, as in the
+/// paper's Algorithm 1: the server hands over the buffer when it
+/// aggregates, and the pass scores all of it (DESIGN.md §10).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsyncFilter {
     config: AsyncFilterConfig,
     groups: BTreeMap<u64, GroupState>,
     last_scores: Vec<ScoreRecord>,
-    pending: Vec<PendingArrival>,
     scratch: Scratch,
-    /// Lifetime count of eq. 6 distance evaluations (arrival + pass time);
-    /// the span between two sink emissions becomes the
-    /// `filter_distances_computed` telemetry counter.
+    /// Lifetime count of eq. 6 distance evaluations; the span between two
+    /// sink emissions becomes the `filter_distances_computed` telemetry
+    /// counter.
     distances_computed: u64,
     distances_emitted: u64,
-    /// Lifetime `‖MA‖²`-maintenance path counts; per-emission deltas become
-    /// the `filter_norm_*` telemetry counters.
-    norm_counts: NormPathCounts,
-    norm_emitted: NormPathCounts,
 }
 
 impl AsyncFilter {
@@ -332,12 +283,9 @@ impl AsyncFilter {
             config,
             groups: BTreeMap::new(),
             last_scores: Vec::new(),
-            pending: Vec::new(),
             scratch: Scratch::default(),
             distances_computed: 0,
             distances_emitted: 0,
-            norm_counts: NormPathCounts::default(),
-            norm_emitted: NormPathCounts::default(),
         }
     }
 
@@ -357,20 +305,12 @@ impl AsyncFilter {
         self.groups.len()
     }
 
-    /// Lifetime count of eq. 6 distance evaluations, across arrival-time
-    /// hooks and `filter` passes. With arrival hooks active, a pass over a
-    /// warm buffer adds **zero** to this counter — the regression tests pin
-    /// the incremental engine's O(marginal work) property through it.
+    /// Lifetime count of eq. 6 distance evaluations. A clustered pass over
+    /// `n` scorable updates adds exactly `n` under `Global` and
+    /// `WithinGroup` normalization, and `g·n` under `CrossGroup` with
+    /// `g > 1` staleness groups in the buffer.
     pub fn distances_computed(&self) -> u64 {
         self.distances_computed
-    }
-
-    /// Lifetime counts of how `absorb` maintained the cached `‖MA‖²`,
-    /// broken down by path (see [`NormPathCounts`]). The regression tests
-    /// pin the estimate-maintenance cost at one pass per absorb through
-    /// this accessor.
-    pub fn norm_path_counts(&self) -> NormPathCounts {
-        self.norm_counts
     }
 
     fn group_key(&self, staleness: u64) -> u64 {
@@ -406,20 +346,17 @@ impl AsyncFilter {
         if state.absorbed == 0 && matches!(ma_mode, MovingAverageMode::Ema { .. }) {
             state.ma.copy_from(params);
             state.norm_sq = params_norm_sq;
-            self.norm_counts.adopted += 1;
         } else {
             state.norm_sq = state.ma.lerp_norm_squared(params, t);
-            self.norm_counts.fused += 1;
         }
         state.absorbed += 1;
     }
 
     /// Bootstrap estimates for groups without history, keyed ascending.
     ///
-    /// A group with history is scored against its running MA (borrowed from
-    /// `self.groups` at the use site — the old batch engine cloned every
-    /// live MA here, which at real model dims was the bulk of the filter's
-    /// per-pass allocation traffic). A brand-new group gets the
+    /// A group with history is scored against its running MA, borrowed from
+    /// `self.groups` at the use site: cloning it would copy a model-sized
+    /// vector per group per pass. A brand-new group gets the
     /// coordinate-wise **25%-trimmed mean** of its current updates (a
     /// robust bootstrap — a plain mean would be dragged toward any attacker
     /// present in the very first batch, while a median can be captured by
@@ -459,8 +396,8 @@ impl AsyncFilter {
         boot
     }
 
-    /// Emits the distance-evaluation and norm-maintenance counter deltas
-    /// accumulated since the previous emission (arrival hooks included).
+    /// Emits the distance-evaluation count accumulated since the previous
+    /// emission.
     fn emit_counters(&mut self, ctx: &FilterContext<'_>) {
         if let Some(sink) = ctx.sink {
             let delta = self.distances_computed - self.distances_emitted;
@@ -471,33 +408,7 @@ impl AsyncFilter {
                 });
                 self.distances_emitted = self.distances_computed;
             }
-            let pairs: [(&'static str, u64, &mut u64); 2] = [
-                (
-                    "filter_norm_adopted",
-                    self.norm_counts.adopted,
-                    &mut self.norm_emitted.adopted,
-                ),
-                (
-                    "filter_norm_fused",
-                    self.norm_counts.fused,
-                    &mut self.norm_emitted.fused,
-                ),
-            ];
-            for (name, total, emitted) in pairs {
-                let delta = total - *emitted;
-                if delta > 0 {
-                    sink.emit(&asyncfl_telemetry::Event::CounterAdd { name, delta });
-                    *emitted = total;
-                }
-            }
         }
-    }
-
-    /// Returns the pending-arrival list to `self`, cleared but with its
-    /// capacity intact, so steady-state arrival hooks allocate nothing.
-    fn recycle_pending(&mut self, mut pending: Vec<PendingArrival>) {
-        pending.clear();
-        self.pending = pending;
     }
 }
 
@@ -511,16 +422,9 @@ impl UpdateFilter for AsyncFilter {
     }
 
     fn filter(&mut self, updates: Vec<ClientUpdate>, ctx: &FilterContext<'_>) -> FilterOutcome {
-        // Pending arrival records never outlive the pass that consumes the
-        // buffer they were recorded for: absorbing below mutates the very
-        // estimates they were measured against.
-        let pending = std::mem::take(&mut self.pending);
-
         self.last_scores.clear();
         let mut outcome = FilterOutcome::default();
         if updates.is_empty() {
-            self.emit_counters(ctx);
-            self.recycle_pending(pending);
             return outcome;
         }
 
@@ -543,8 +447,6 @@ impl UpdateFilter for AsyncFilter {
                 self.absorb(key, &u.params, u.params_norm_squared());
             }
             outcome.accepted.append(&mut finite);
-            self.emit_counters(ctx);
-            self.recycle_pending(pending);
             return outcome;
         }
 
@@ -552,8 +454,7 @@ impl UpdateFilter for AsyncFilter {
         let mut scr = std::mem::take(&mut self.scratch);
 
         // Eq. 4: per-update staleness-bucket keys plus the sorted unique
-        // key list. (The batch engine built a `BTreeMap<u64, Vec<usize>>`
-        // here — fresh node and member-vector allocations every pass.)
+        // key list, in reused buffers rather than a per-pass map.
         scr.keys.clear();
         for u in &finite {
             let key = self.group_key(u.staleness);
@@ -564,92 +465,45 @@ impl UpdateFilter for AsyncFilter {
         scr.uniq.sort_unstable();
         scr.uniq.dedup();
 
-        // Match arrival-time records to this batch. The server buffers
-        // updates in the order it calls `on_buffered`, and a pass consumes
-        // the whole buffer in that order, so a single in-order walk pairs
-        // them up; the identity fields plus the bit-exact norm checksum
-        // guard the pairing. Any unmatched update (every caller that never
-        // invokes the hook — all pre-existing tests and ablation drivers)
-        // simply falls back to pass-time computation.
-        scr.cached.clear();
-        scr.cached.resize(n, None);
-        {
-            let mut pi = 0;
-            for (i, u) in finite.iter().enumerate() {
-                while pi < pending.len() {
-                    // lint:allow(P2) -- pi < pending.len() checked above
-                    let e = &pending[pi];
-                    pi += 1;
-                    if e.client == u.client
-                        && e.base_round == u.base_round
-                        && e.defers == u.defers
-                        && e.staleness == u.staleness
-                        && e.params_norm_sq.to_bits() == u.params_norm_squared().to_bits()
-                    {
-                        // lint:allow(P2) -- cached was resized to n above
-                        scr.cached[i] = Some(pi - 1);
-                        break;
-                    }
-                }
-            }
-        }
-
         // Estimates to score against (pre-update; see module docs): live
         // groups are borrowed in place, history-less groups bootstrapped
         // from the current buffer. `ests` is aligned with `scr.uniq`.
         let boot = self.bootstrap_estimates(&scr.uniq, &scr.keys, &finite);
         let groups = &self.groups;
-        let mut ests: Vec<(&Vector, f64, bool)> = Vec::with_capacity(scr.uniq.len());
+        let mut ests: Vec<(&Vector, f64)> = Vec::with_capacity(scr.uniq.len());
         {
             let mut bi = 0;
             for &key in &scr.uniq {
                 if let Some(state) = groups.get(&key) {
-                    ests.push((&state.ma, state.norm_sq, true));
+                    ests.push((&state.ma, state.norm_sq));
                 } else {
                     // lint:allow(P2) -- bootstrap_estimates emits one entry per
                     // non-live key, in the same ascending order walked here
                     let (bk, ma, norm_sq) = &boot[bi];
                     debug_assert_eq!(*bk, key);
                     bi += 1;
-                    ests.push((ma, *norm_sq, false));
+                    ests.push((ma, *norm_sq));
                 }
             }
         }
 
-        // Eq. 6: per-update squared distance to its own group estimate —
-        // taken from the arrival-time record when the group estimate was
-        // already live then (bit-identical: the estimate has not mutated
-        // since), computed here otherwise. Each distance is a single dot
-        // product via the cached norms:
+        // Eq. 6: per-update squared distance to its own group estimate,
+        // each a single dot product via the cached norms:
         // d(MA, ω)² = ‖MA‖² + ‖ω‖² − 2·MA·ω.
         scr.dist_sq.clear();
         scr.dist_sq.resize(n, 0.0);
-        let mut computed: u64 = 0;
+        let mut computed = n as u64;
         for (gi, &key) in scr.uniq.iter().enumerate() {
-            let (own, own_norm_sq, live) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
+            let (own, own_norm_sq) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
             for (i, u) in finite.iter().enumerate() {
-                // lint:allow(P2) -- keys/cached/dist_sq are all sized to n
+                // lint:allow(P2) -- keys/dist_sq are both sized to n
                 if scr.keys[i] != key {
                     continue;
                 }
-                let cached = if live {
-                    // lint:allow(P2) -- cached holds indices into pending
-                    scr.cached[i].and_then(|pi| pending[pi].own_dist_sq)
-                } else {
-                    None
-                };
-                let d = match cached {
-                    Some(d) => d,
-                    None => {
-                        computed += 1;
-                        u.params.distance_squared_from_norms(
-                            u.params_norm_squared(),
-                            own,
-                            own_norm_sq,
-                        )
-                    }
-                };
-                scr.dist_sq[i] = d; // lint:allow(P2) -- dist_sq was sized to n
+                // lint:allow(P2) -- dist_sq was sized to n
+                scr.dist_sq[i] =
+                    u.params
+                        .distance_squared_from_norms(u.params_norm_squared(), own, own_norm_sq);
             }
         }
         scr.dist.clear();
@@ -725,45 +579,25 @@ impl UpdateFilter for AsyncFilter {
                 } else {
                     // Per-(group, update) squared-distance matrix in a flat
                     // reused buffer: own-group entries are exactly
-                    // `dist_sq`, cross entries come from the arrival-time
-                    // records where the row's estimate was live then, and
-                    // are one dot product otherwise. Column sums (rows
-                    // ascending, exactly the old `BTreeMap` iteration
-                    // order) are the denominators.
+                    // `dist_sq`, every other entry is one dot product.
+                    // Column sums (rows ascending, exactly the old
+                    // `BTreeMap` iteration order) are the denominators.
                     let g = scr.uniq.len();
+                    computed += ((g - 1) * n) as u64;
                     scr.cross.clear();
                     scr.cross.resize(g * n, 0.0);
                     for (gi, &key) in scr.uniq.iter().enumerate() {
-                        let (ma, ma_norm_sq, live) = ests[gi]; // lint:allow(P2) -- aligned with uniq
+                        let (ma, ma_norm_sq) = ests[gi]; // lint:allow(P2) -- aligned with uniq
                         for (i, u) in finite.iter().enumerate() {
-                            // lint:allow(P2) -- keys/cached/dist_sq/cross sized to n and g·n
+                            // lint:allow(P2) -- keys/dist_sq sized to n
                             let v = if scr.keys[i] == key {
                                 scr.dist_sq[i] // lint:allow(P2) -- dist_sq sized to n
                             } else {
-                                let cached = if live {
-                                    // lint:allow(P2) -- cached sized to n
-                                    scr.cached[i].and_then(|pi| {
-                                        // lint:allow(P2) -- cached holds live indices into pending
-                                        pending[pi]
-                                            .cross_dist_sq
-                                            .iter()
-                                            .find(|&&(k, _)| k == key)
-                                            .map(|&(_, d)| d)
-                                    })
-                                } else {
-                                    None
-                                };
-                                match cached {
-                                    Some(d) => d,
-                                    None => {
-                                        computed += 1;
-                                        u.params.distance_squared_from_norms(
-                                            u.params_norm_squared(),
-                                            ma,
-                                            ma_norm_sq,
-                                        )
-                                    }
-                                }
+                                u.params.distance_squared_from_norms(
+                                    u.params_norm_squared(),
+                                    ma,
+                                    ma_norm_sq,
+                                )
                             };
                             scr.cross[gi * n + i] = v; // lint:allow(P2) -- cross sized to g·n
                         }
@@ -844,7 +678,6 @@ impl UpdateFilter for AsyncFilter {
 
         self.distances_computed += computed;
         self.scratch = scr;
-        self.recycle_pending(pending);
         self.emit_counters(ctx);
 
         if degenerate || gated {
@@ -871,61 +704,6 @@ impl UpdateFilter for AsyncFilter {
             }
         }
         outcome
-    }
-
-    /// Arrival-time scoring: measures the update's eq. 6 distance against
-    /// every group estimate that is already live, off the aggregation
-    /// critical section. The group estimates cannot change between this
-    /// call and the pass that consumes the update (absorbing happens only
-    /// inside passes, and a pass consumes the whole buffer), so the cached
-    /// distances are bit-identical to what the pass would compute. The
-    /// `filter_distances_computed` counter is bumped here, at arrival, so
-    /// per-emission deltas show where the work actually runs.
-    fn on_buffered(&mut self, update: &ClientUpdate, ctx: &FilterContext<'_>) {
-        // Unscorable updates are partitioned out before scoring; recording
-        // no entry keeps the pending list aligned with the scorable batch.
-        if !scorable(update) {
-            return;
-        }
-        let key = self.group_key(update.staleness);
-        let mut computed: u64 = 0;
-        let own_dist_sq = self.groups.get(&key).map(|state| {
-            computed += 1;
-            update.params.distance_squared_from_norms(
-                update.params_norm_squared(),
-                &state.ma,
-                state.norm_sq,
-            )
-        });
-        let mut cross_dist_sq = Vec::new();
-        if self.config.score_normalization == ScoreNormalization::CrossGroup {
-            cross_dist_sq.reserve(self.groups.len());
-            for (&k, state) in &self.groups {
-                let d = match own_dist_sq {
-                    Some(d) if k == key => d,
-                    _ => {
-                        computed += 1;
-                        update.params.distance_squared_from_norms(
-                            update.params_norm_squared(),
-                            &state.ma,
-                            state.norm_sq,
-                        )
-                    }
-                };
-                cross_dist_sq.push((k, d));
-            }
-        }
-        self.distances_computed += computed;
-        self.pending.push(PendingArrival {
-            client: update.client,
-            base_round: update.base_round,
-            defers: update.defers,
-            staleness: update.staleness,
-            params_norm_sq: update.params_norm_squared(),
-            own_dist_sq,
-            cross_dist_sq,
-        });
-        self.emit_counters(ctx);
     }
 }
 
@@ -1023,11 +801,7 @@ mod tests {
 
         let mut f = AsyncFilter::default();
         let g = Vector::zeros(2);
-        let ctx = ctx_with(&g);
-        for u in &updates {
-            f.on_buffered(u, &ctx);
-        }
-        let out = f.filter(updates, &ctx);
+        let out = f.filter(updates, &ctx_with(&g));
         assert!(out.rejected.iter().any(|u| u.client == 9), "overflow kept");
         assert!(out.accepted.iter().all(|u| u.client != 9));
         assert!(f.last_scores().iter().all(|s| s.client != 9));
@@ -1388,62 +1162,7 @@ mod tests {
         assert_eq!(AsyncFilter::default().name(), "AsyncFilter");
     }
 
-    /// The incremental engine's core property: once the arrival hook has
-    /// seen every buffered update, a pass over a warm buffer performs
-    /// **zero** additional eq. 6 distance computations — all the work
-    /// moved to arrival time. (The cold pass bootstraps estimates from the
-    /// buffer, so its distances are inherently pass-time.)
-    #[test]
-    fn incremental_pass_computes_only_marginal_distances() {
-        let mut f = AsyncFilter::default();
-        let g = Vector::zeros(2);
-        // Cold pass: no live estimates, all 10 distances are pass-time.
-        let _ = f.filter(outlier_scenario(), &ctx_with(&g));
-        let cold = f.distances_computed();
-        assert_eq!(cold, 10);
-        assert_eq!(f.tracked_groups(), 1);
-        // Warm buffer announced through the arrival hook: one distance per
-        // arrival, none at the pass.
-        let second = outlier_scenario();
-        for u in &second {
-            f.on_buffered(u, &ctx_with(&g));
-        }
-        let after_arrivals = f.distances_computed();
-        assert_eq!(after_arrivals - cold, 10);
-        let out = f.filter(second, &ctx_with(&g));
-        assert_eq!(
-            f.distances_computed(),
-            after_arrivals,
-            "warm pass recomputed arrival-time distances"
-        );
-        // And the verdicts still match the batch engine's.
-        assert!(out.rejected.iter().any(|u| u.client == 9));
-    }
-
-    #[test]
-    fn unannounced_updates_fall_back_to_batch_scoring() {
-        // Hook calls for only half the buffer: the pass must compute the
-        // missing distances itself and produce the same verdicts as a
-        // batch-only filter fed the identical sequence.
-        let g = Vector::zeros(2);
-        let mut partial = AsyncFilter::default();
-        let mut batch_only = AsyncFilter::default();
-        let warm = outlier_scenario();
-        let _ = partial.filter(warm.clone(), &ctx_with(&g));
-        let _ = batch_only.filter(warm, &ctx_with(&g));
-        let second = outlier_scenario();
-        for u in second.iter().step_by(2) {
-            partial.on_buffered(u, &ctx_with(&g));
-        }
-        let op = partial.filter(second.clone(), &ctx_with(&g));
-        let ob = batch_only.filter(second, &ctx_with(&g));
-        assert_eq!(op, ob);
-        for (a, b) in partial.last_scores().iter().zip(batch_only.last_scores()) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-
-    /// Regression for the incremental-norm cache: on every absorb path
+    /// Regression for the cached group norm: on every absorb path
     /// (EMA cold adoption, fused warm lerp+reduce, and both Robbins–Monro
     /// paths) the cached `‖MA‖²` must be bit-identical
     /// to a fresh reduction over the estimate, for every tracked group,
@@ -1466,9 +1185,6 @@ mod tests {
                         upd(i, (i % 3) as u64, &[v, -0.125 * v], false)
                     })
                     .collect();
-                for u in &updates {
-                    f.on_buffered(u, &ctx_with(&g));
-                }
                 let _ = f.filter(updates, &ctx_with(&g));
                 for (key, state) in &f.groups {
                     assert_eq!(
@@ -1478,29 +1194,57 @@ mod tests {
                     );
                 }
             }
-            let counts = f.norm_path_counts();
-            assert!(counts.fused > 0, "warm absorbs never fused: {counts:?}");
         }
     }
 
-    /// The estimate-maintenance analogue of
-    /// `incremental_pass_computes_only_marginal_distances`: the EMA cold
-    /// start adopts the update's norm once, and every later absorb takes
-    /// the fused single pass.
+    /// Every scorable update is scored inside the pass, once per group
+    /// estimate its eq. 7 denominator needs: `n` distances for a pass over
+    /// `n` scorable updates under `Global` and `WithinGroup`, `g·n` under
+    /// `CrossGroup` with `g > 1` groups. Unscorable updates cost nothing.
     #[test]
-    fn warm_absorbs_adopt_once_then_fuse() {
-        let mut f = AsyncFilter::default();
+    fn pass_computes_one_distance_per_update_and_group() {
         let g = Vector::zeros(2);
-        for _ in 0..4 {
-            let second = outlier_scenario();
-            for u in &second {
-                f.on_buffered(u, &ctx_with(&g));
+        let buffer = |round: u64| {
+            let mut u: Vec<ClientUpdate> = (0..12)
+                .map(|i| {
+                    let v = 1.0 + 0.05 * i as f64 + 0.1 * round as f64;
+                    upd(i, (i % 3) as u64, &[v, -0.5 * v], false)
+                })
+                .collect();
+            u.push(upd(12, 0, &[f64::NAN, 1.0], true));
+            u
+        };
+        for (normalization, per_update) in [
+            (ScoreNormalization::Global, 1),
+            (ScoreNormalization::WithinGroup, 1),
+            (ScoreNormalization::CrossGroup, 3),
+        ] {
+            let mut f = AsyncFilter::new(AsyncFilterConfig {
+                score_normalization: normalization,
+                ..AsyncFilterConfig::default()
+            });
+            // Cold pass (bootstrap estimates) and warm passes alike.
+            for round in 0..3 {
+                let before = f.distances_computed();
+                let _ = f.filter(buffer(round), &FilterContext::new(round, &g, 20));
+                assert_eq!(
+                    f.distances_computed() - before,
+                    12 * per_update,
+                    "{normalization:?}, round {round}"
+                );
             }
-            let _ = f.filter(second, &ctx_with(&g));
         }
-        let counts = f.norm_path_counts();
-        assert_eq!(counts.adopted, 1, "one EMA cold start expected: {counts:?}");
-        assert!(counts.fused > 0, "{counts:?}");
+        // A single-group buffer under `CrossGroup` falls back to the
+        // within-group reading: one distance per update.
+        let mut f = AsyncFilter::new(AsyncFilterConfig {
+            score_normalization: ScoreNormalization::CrossGroup,
+            ..AsyncFilterConfig::default()
+        });
+        let _ = f.filter(outlier_scenario(), &ctx_with(&g));
+        assert_eq!(f.distances_computed(), 10);
+        // Below `min_updates` nothing is scored.
+        let _ = f.filter(outlier_scenario()[..3].to_vec(), &ctx_with(&g));
+        assert_eq!(f.distances_computed(), 10);
     }
 
     proptest! {
@@ -1525,73 +1269,6 @@ mod tests {
             clients.sort_unstable();
             clients.dedup();
             prop_assert_eq!(clients.len(), n);
-        }
-
-        /// Satellite property for the incremental engine: a filter fed
-        /// through the arrival hook produces bit-identical `ScoreRecord`s
-        /// and outcomes to a batch-only filter, across random buffer
-        /// contents and sizes, arrival orders (rotation), staleness mixes,
-        /// every eq. 7 normalization mode, and multi-round sequences with
-        /// deferred re-buffering (deferred updates re-announced at their
-        /// aged staleness, ahead of fresh arrivals — the server's order).
-        #[test]
-        fn prop_incremental_and_batch_scoring_are_bit_identical(
-            vals in proptest::collection::vec(-50.0..50.0f64, 4..32),
-            lags in proptest::collection::vec(0u64..4, 4..32),
-            rot in 0usize..8,
-            mode in 0usize..3,
-            rounds in 1usize..4,
-        ) {
-            let config = AsyncFilterConfig {
-                score_normalization: match mode {
-                    0 => ScoreNormalization::Global,
-                    1 => ScoreNormalization::CrossGroup,
-                    _ => ScoreNormalization::WithinGroup,
-                },
-                ..AsyncFilterConfig::default()
-            };
-            let mut inc = AsyncFilter::new(config.clone());
-            let mut bat = AsyncFilter::new(config);
-            let g = Vector::zeros(2);
-            let n = vals.len().min(lags.len());
-            let mut carried: Vec<ClientUpdate> = Vec::new();
-            for round in 0..rounds as u64 {
-                // Fresh arrivals in a rotated order; deferred re-buffers
-                // lead the buffer, as in `BufferedServer::aggregate_now`.
-                let mut fresh: Vec<ClientUpdate> = (0..n)
-                    .map(|i| {
-                        let v = vals[i] + round as f64;
-                        upd(i, lags[i], &[v, -0.5 * v], false)
-                    })
-                    .collect();
-                fresh.rotate_left(rot % n.max(1));
-                let mut batch = carried;
-                batch.extend(fresh);
-                let ctx = FilterContext::new(round, &g, 20);
-                for u in &batch {
-                    inc.on_buffered(u, &ctx);
-                }
-                let oi = inc.filter(batch.clone(), &ctx);
-                let ob = bat.filter(batch, &ctx);
-                prop_assert_eq!(inc.last_scores().len(), bat.last_scores().len());
-                for (a, b) in inc.last_scores().iter().zip(bat.last_scores()) {
-                    prop_assert_eq!(a.client, b.client);
-                    prop_assert_eq!(a.staleness, b.staleness);
-                    prop_assert_eq!(a.group, b.group);
-                    prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "score drift");
-                }
-                prop_assert_eq!(&oi, &ob);
-                carried = oi
-                    .deferred
-                    .into_iter()
-                    .map(|mut u| {
-                        // The server refreshes staleness after the round
-                        // advances; emulate one round of aging.
-                        u.staleness += 1;
-                        u
-                    })
-                    .collect();
-            }
         }
 
         #[test]

@@ -58,7 +58,7 @@ pub mod reputation;
 pub mod update;
 pub mod zeno;
 
-pub use asyncfilter::{AsyncFilter, AsyncFilterConfig, NormPathCounts};
+pub use asyncfilter::{AsyncFilter, AsyncFilterConfig};
 pub use fldetector::FlDetector;
 pub use update::{
     ClientUpdate, FilterContext, FilterOutcome, PassthroughFilter, ScoreRecord, UpdateFilter,

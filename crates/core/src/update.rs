@@ -302,17 +302,10 @@ pub trait UpdateFilter: Send {
     /// Partitions the buffered updates into accepted / rejected / deferred.
     fn filter(&mut self, updates: Vec<ClientUpdate>, ctx: &FilterContext<'_>) -> FilterOutcome;
 
-    /// Notifies the filter that `update` has just been buffered (or
-    /// re-buffered after a deferral) by the server and will be part of the
-    /// batch handed to the **next** [`filter`] call. Incremental filters use
-    /// this to do per-update scoring work at arrival time, off the
-    /// aggregation critical section; the server guarantees that between this
-    /// call and the consuming [`filter`] call the update's `staleness` does
-    /// not change (the round only advances inside an aggregation, before
-    /// deferred updates are re-buffered). `ctx` carries the same server
-    /// state a pass would see — in particular the telemetry sink, so
-    /// arrival-time work is counted where it happens. The default is a
-    /// no-op, so plain batch filters are unaffected.
+    /// Called when the server buffers a report it received, once per
+    /// report, with the server state at that moment in `ctx`. Every
+    /// filter in this crate scores inside [`filter`] and keeps the
+    /// default no-op; wrappers may use the call to observe arrivals.
     ///
     /// [`filter`]: UpdateFilter::filter
     fn on_buffered(&mut self, update: &ClientUpdate, ctx: &FilterContext<'_>) {

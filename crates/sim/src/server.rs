@@ -133,8 +133,10 @@ impl BufferedServer {
         self.discarded_stale
     }
 
-    /// Reports discarded because their `params` or `delta` dimension
-    /// differs from the global model's.
+    /// Reports discarded as malformed at receipt: a `params` or `delta`
+    /// dimension that differs from the global model's, a non-finite
+    /// cached `‖params‖²` or `‖delta‖²`, or a base round later than the
+    /// server's current round.
     pub fn discarded_malformed(&self) -> u64 {
         self.discarded_malformed
     }
@@ -152,12 +154,17 @@ impl BufferedServer {
     /// Receives one client report. Returns `Some` when this report
     /// triggered an aggregation.
     ///
-    /// A report whose dimension differs from the global model's is
-    /// discarded like a stale one: a Byzantine client may send anything,
-    /// and one malformed report must not reach the filter pass, whose
-    /// vector kernels panic on mismatched dimensions.
+    /// A malformed report is discarded like a stale one, because a
+    /// Byzantine client may send anything:
+    /// - a dimension that differs from the global model's would panic the
+    ///   filter pass's vector kernels;
+    /// - a non-finite `‖params‖²` or `‖delta‖²` (both cached, so the check
+    ///   is `O(1)`) would turn an undefended mean aggregate `NaN`;
+    /// - a base round later than the current round names a model the
+    ///   server never sent, and would otherwise score as staleness 0.
     pub fn receive(&mut self, mut update: ClientUpdate) -> Option<AggregationReport> {
         self.received += 1;
+        let forged = update.base_round > self.round;
         let staleness = self.round.saturating_sub(update.base_round);
         update.staleness = staleness;
         self.emit(Event::UpdateReceived {
@@ -166,7 +173,12 @@ impl BufferedServer {
             staleness,
         });
         let dim = self.global.len();
-        if update.params.len() != dim || update.delta.len() != dim {
+        if forged
+            || update.params.len() != dim
+            || update.delta.len() != dim
+            || !update.params_norm_squared().is_finite()
+            || !update.delta_norm_squared().is_finite()
+        {
             self.discarded_malformed += 1;
             self.emit(Event::CounterAdd {
                 name: "updates_discarded_malformed",
@@ -184,10 +196,6 @@ impl BufferedServer {
             return None;
         }
         *self.staleness_histogram.entry(staleness).or_insert(0) += 1;
-        // Arrival hook: incremental filters score the update now, off the
-        // aggregation critical section. Staleness is final for this update
-        // (the round only advances inside `aggregate_now`, and deferred
-        // updates are re-announced there after it does).
         let sink_ref = self.sink.as_ref().map(|s| s.as_dyn());
         let mut ctx = FilterContext::new(self.round, &self.global, self.staleness_limit);
         if let Some(t) = &self.trusted_delta {
@@ -274,29 +282,7 @@ impl BufferedServer {
                 delta: outcome.deferred.len() as u64,
             });
         }
-        let mut deferred = outcome.deferred;
-        if !deferred.is_empty() {
-            // Re-announce each re-buffered update at its post-advance
-            // staleness — the value the next pass will see. Updates that
-            // already aged past the limit get no hook call: the next pass's
-            // re-screen drops them before the filter ever sees them. The
-            // context is rebuilt because the round and global model moved.
-            let sink_ref = self.sink.as_ref().map(|s| s.as_dyn());
-            let mut ctx = FilterContext::new(self.round, &self.global, self.staleness_limit);
-            if let Some(t) = &self.trusted_delta {
-                ctx = ctx.with_trusted_delta(t);
-            }
-            if let Some(s) = sink_ref {
-                ctx = ctx.with_sink(s);
-            }
-            for u in &mut deferred {
-                u.staleness = self.round.saturating_sub(u.base_round);
-                if u.staleness <= self.staleness_limit {
-                    self.filter.on_buffered(u, &ctx);
-                }
-            }
-        }
-        self.buffer.extend(deferred);
+        self.buffer.extend(outcome.deferred);
         self.emit(Event::GaugeSample {
             name: "deferred_queue_depth",
             value: self.buffer.len() as u64,
@@ -458,6 +444,42 @@ mod tests {
         }
         assert_eq!(registry.counter("updates_discarded_malformed"), 2);
         assert_eq!(mem.count_kind("update_received"), 6);
+    }
+
+    #[test]
+    fn future_base_round_is_discarded_not_fresh() {
+        let mut s = server(2, 20);
+        s.receive(upd(0, 0, &[0.0, 0.0]));
+        s.receive(upd(1, 0, &[0.0, 0.0]))
+            .expect("round 0 aggregates");
+        assert_eq!(s.round(), 1);
+        // Base round 2 names a model the server has not built yet.
+        assert!(s.receive(upd(2, 2, &[5.0, 5.0])).is_none());
+        assert_eq!(s.discarded_malformed(), 1);
+        assert_eq!(s.buffer_len(), 0);
+        assert_eq!(s.staleness_histogram().get(&0), Some(&2));
+        // The current round is still admitted, at staleness 0.
+        assert!(s.receive(upd(3, 1, &[1.0, 1.0])).is_none());
+        assert_eq!(s.buffer_len(), 1);
+        assert_eq!(s.staleness_histogram().get(&0), Some(&3));
+        assert_eq!(s.received(), 4);
+    }
+
+    #[test]
+    fn nonfinite_reports_are_discarded_before_the_mean() {
+        // FedBuff has no defense, so only the receipt check stands between
+        // a NaN delta and the mean aggregate.
+        let mut s = server(2, 20);
+        s.receive(upd(0, 0, &[1.0, f64::NAN]));
+        s.receive(upd(1, 0, &[f64::INFINITY, 0.0]));
+        // Finite coordinates whose squares overflow the cached norm.
+        s.receive(upd(2, 0, &[1e308, 1e308]));
+        s.receive(upd(3, 0, &[2.0, 0.0]));
+        s.receive(upd(4, 0, &[0.0, 2.0]));
+        assert!(s.global().is_finite(), "global model {:?}", s.global());
+        assert_eq!(s.discarded_malformed(), 3);
+        assert_eq!(s.round(), 1);
+        assert_eq!(s.global().as_slice(), &[1.0, 1.0]);
     }
 
     #[test]
@@ -796,69 +818,6 @@ mod tests {
             mem.events().first(),
             Some(Event::UpdateReceived { .. })
         ));
-    }
-
-    /// Satellite regression for the incremental filter engine: once the
-    /// group estimates are warm and every buffered update was announced
-    /// through the arrival hook, the aggregation triggered by one new
-    /// arrival performs O(groups + 1) eq. 6 distance computations — one
-    /// at the triggering arrival, none inside the pass — not the
-    /// O(groups × Ω) a batch rebuild would cost.
-    #[test]
-    fn warm_aggregation_costs_marginal_distances_only() {
-        use asyncfl_telemetry::{MemorySink, MetricsRegistry, SharedSink, Sink};
-        use std::sync::Arc;
-
-        let mem = Arc::new(MemorySink::new(4096));
-        let bound = 8usize;
-        // Middle-cluster deferral off so each pass drains the buffer fully
-        // and the fill arithmetic below stays exact.
-        let filter = AsyncFilter::new(asyncfl_core::AsyncFilterConfig {
-            middle_policy: asyncfl_core::asyncfilter::MiddlePolicy::Accept,
-            ..Default::default()
-        });
-        let mut s = BufferedServer::new(
-            Vector::zeros(2),
-            bound,
-            20,
-            Box::new(filter),
-            Box::new(MeanAggregator::new()),
-        )
-        .with_sink(SharedSink::from_arc(mem.clone()));
-
-        let distance_count = |mem: &MemorySink| {
-            let reg = MetricsRegistry::new();
-            for e in mem.events() {
-                reg.emit(&e);
-            }
-            reg.counter("filter_distances_computed")
-        };
-
-        // Round 0 warms the staleness-0 group estimate (its distances are
-        // bootstrap work, all pass-time).
-        for i in 0..bound {
-            s.receive(upd(i, 0, &[1.0 + 0.01 * i as f64, 1.0]));
-        }
-        // Fill the next buffer to one short of the bound; each arrival
-        // costs exactly one distance, counted as it happens.
-        for i in 0..bound - 1 {
-            s.receive(upd(i, 1, &[1.0 + 0.01 * i as f64, 1.0]));
-        }
-        let before = distance_count(&mem);
-        let groups = 1u64; // every arrival sits in the staleness-0 bucket
-        let report = s
-            .receive(upd(bound - 1, 1, &[1.05, 1.0]))
-            .expect("bound reached");
-        assert_eq!(report.accepted + report.rejected + report.deferred, bound);
-        let marginal = distance_count(&mem) - before;
-        assert!(
-            marginal <= groups + 1,
-            "one-arrival aggregation cost {marginal} distance computations \
-             (expected <= groups + 1 = {})",
-            groups + 1
-        );
-        // Sanity: the cold first pass did pay O(Ω) — the counter is live.
-        assert!(before >= bound as u64);
     }
 
     #[test]

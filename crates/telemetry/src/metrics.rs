@@ -129,22 +129,6 @@ impl Log2Histogram {
         }
         Some(self.max)
     }
-
-    /// Folds `other` into `self`, as if every sample recorded into
-    /// `other` had been recorded here instead. Used to combine
-    /// per-thread histograms into one run-level view.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -666,8 +650,7 @@ mod tests {
         assert!(!reg.render_table().contains("span allocation"));
     }
 
-    // ---- Log2Histogram edge cases (satellite: p0/p100, empty, top
-    // bucket, merge) ----
+    // ---- Log2Histogram edge cases: p0/p100, empty, top bucket ----
 
     #[test]
     fn empty_histogram_answers_none_everywhere() {
@@ -709,31 +692,6 @@ mod tests {
         // Sum saturates rather than wrapping.
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.percentile(0.0), Some(u64::MAX).min(h.max()));
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let samples_a = [0u64, 1, 5, 77, 4096];
-        let samples_b = [2u64, 5, 1_000_000, u64::MAX];
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        let mut combined = Log2Histogram::new();
-        for v in samples_a {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in samples_b {
-            b.record(v);
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.sum(), combined.sum());
-        assert_eq!(a.min(), combined.min());
-        assert_eq!(a.max(), combined.max());
-        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            assert_eq!(a.percentile(p), combined.percentile(p), "p{p}");
-        }
     }
 
     mod properties {
@@ -779,52 +737,6 @@ mod tests {
                     prev = v;
                 }
             }
-
-            #[test]
-            fn prop_merge_matches_single_histogram(
-                xs in proptest::collection::vec(0u64..u64::MAX, 0..32),
-                ys in proptest::collection::vec(0u64..u64::MAX, 0..32),
-            ) {
-                let mut a = Log2Histogram::new();
-                let mut b = Log2Histogram::new();
-                let mut both = Log2Histogram::new();
-                for &v in &xs {
-                    a.record(v);
-                    both.record(v);
-                }
-                for &v in &ys {
-                    b.record(v);
-                    both.record(v);
-                }
-                a.merge(&b);
-                prop_assert_eq!(a.count(), both.count());
-                prop_assert_eq!(a.sum(), both.sum());
-                prop_assert_eq!(a.min(), both.min());
-                prop_assert_eq!(a.max(), both.max());
-                for p in [0.0, 50.0, 100.0] {
-                    prop_assert_eq!(a.percentile(p), both.percentile(p));
-                }
-            }
         }
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut h = Log2Histogram::new();
-        for v in [9u64, 81] {
-            h.record(v);
-        }
-        let snapshot = h.clone();
-        h.merge(&Log2Histogram::new());
-        assert_eq!(h.count(), snapshot.count());
-        assert_eq!(h.min(), snapshot.min());
-        assert_eq!(h.max(), snapshot.max());
-
-        let mut empty = Log2Histogram::new();
-        empty.merge(&snapshot);
-        assert_eq!(empty.count(), snapshot.count());
-        assert_eq!(empty.min(), snapshot.min());
-        assert_eq!(empty.max(), snapshot.max());
-        assert_eq!(empty.percentile(50.0), snapshot.percentile(50.0));
     }
 }

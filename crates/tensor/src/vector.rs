@@ -266,8 +266,8 @@ impl Vector {
     /// Fused [`lerp`](Self::lerp) that also returns the updated
     /// `‖self‖²` from the same traversal — bit-identical to calling
     /// `lerp` followed by [`norm_squared`](Self::norm_squared), in one
-    /// pass instead of two. AsyncFilter's incremental estimate
-    /// maintenance absorbs updates through this so its cached norm stays
+    /// pass instead of two. AsyncFilter's estimate maintenance
+    /// absorbs updates through this so its cached norm stays
     /// exact without a separate re-reduction.
     ///
     /// # Panics

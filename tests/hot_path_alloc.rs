@@ -87,10 +87,6 @@ impl UpdateFilter for MeteredFilter {
         outcome
     }
 
-    fn on_buffered(&mut self, update: &ClientUpdate, ctx: &FilterContext<'_>) {
-        self.inner.on_buffered(update, ctx);
-    }
-
     fn last_scores(&self) -> &[ScoreRecord] {
         self.inner.last_scores()
     }
