@@ -20,6 +20,7 @@
 use crate::dataset::{Dataset, Sample};
 use crate::partition::Partitioner;
 use crate::sampling::{categorical, standard_normal};
+use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::{Rng, RngExt};
 use asyncfl_tensor::Vector;
 
@@ -181,7 +182,8 @@ impl Task {
     }
 
     /// Draws one sample of true class `class`, applying label noise to the
-    /// *recorded* label.
+    /// *recorded* label. Its draws are counted, not made, by
+    /// [`skip_client_dataset`](Self::skip_client_dataset): change both.
     ///
     /// # Panics
     ///
@@ -258,6 +260,26 @@ impl Task {
     ) -> Dataset {
         let probs = partitioner.label_distribution(self.spec.num_classes, rng);
         self.sample_with_distribution(&probs, size, rng)
+    }
+
+    /// Moves `rng` to exactly where [`client_dataset`](Self::client_dataset)
+    /// would leave it, without building the shard.
+    ///
+    /// The label distribution is drawn as is (Dirichlet rejects, so its
+    /// draw count is data-dependent). Each sample is then skipped draw for
+    /// draw against [`sample_class`](Self::sample_class): one `categorical`
+    /// draw and two per Box–Muller normal, then, under label noise, the
+    /// flip draw itself and one more for the modulo `random_range` when it
+    /// fires. Any change to those draws must be mirrored here.
+    pub fn skip_client_dataset(&self, partitioner: &Partitioner, size: usize, rng: &mut StdRng) {
+        partitioner.label_distribution(self.spec.num_classes, rng);
+        let per_sample = 1 + 2 * self.spec.feature_dim as u64;
+        for _ in 0..size {
+            rng.advance(per_sample);
+            if self.spec.label_noise > 0.0 && rng.random::<f64>() < self.spec.label_noise {
+                rng.advance(1);
+            }
+        }
     }
 
     /// Classifies features by the nearest class mean — the Bayes-optimal

@@ -294,6 +294,31 @@ mod tests {
         );
     }
 
+    /// Pins the draw counts `Task::skip_client_dataset` relies on to skip
+    /// a shard with `StdRng::advance`: `standard_normal` takes exactly two
+    /// draws (Box–Muller), an integer `random_range` and `categorical`
+    /// exactly one each, whatever the value drawn.
+    #[test]
+    fn skip_relied_draw_counts_are_exact() {
+        for seed in 0..200u64 {
+            let start = StdRng::seed_from_u64(seed);
+            let advanced = |steps| {
+                let mut rng = start.clone();
+                rng.advance(steps);
+                rng
+            };
+            let mut rng = start.clone();
+            standard_normal(&mut rng);
+            assert_eq!(rng, advanced(2), "standard_normal, seed {seed}");
+            let mut rng = start.clone();
+            rng.random_range(0..9usize);
+            assert_eq!(rng, advanced(1), "random_range, seed {seed}");
+            let mut rng = start.clone();
+            categorical(&mut rng, &[0.0, 0.5, 2.0, 1e-9]);
+            assert_eq!(rng, advanced(1), "categorical, seed {seed}");
+        }
+    }
+
     #[test]
     fn normal_moments() {
         let mut rng = StdRng::seed_from_u64(11);

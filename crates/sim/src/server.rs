@@ -9,7 +9,7 @@
 
 use asyncfl_core::aggregation::Aggregator;
 use asyncfl_core::update::{ClientUpdate, FilterContext, UpdateFilter};
-use asyncfl_telemetry::{Event, SharedSink, Span, Verdict};
+use asyncfl_telemetry::{Event, MalformedReason, SharedSink, Span, Verdict};
 use asyncfl_tensor::Vector;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -123,7 +123,8 @@ impl BufferedServer {
         self.detection
     }
 
-    /// Reports received so far (before staleness screening).
+    /// Reports received so far: every `receive` call, malformed and stale
+    /// reports included.
     pub fn received(&self) -> u64 {
         self.received
     }
@@ -154,7 +155,7 @@ impl BufferedServer {
     /// Receives one client report. Returns `Some` when this report
     /// triggered an aggregation.
     ///
-    /// A malformed report is discarded like a stale one, because a
+    /// A malformed report is discarded before any other event, because a
     /// Byzantine client may send anything:
     /// - a dimension that differs from the global model's would panic the
     ///   filter pass's vector kernels;
@@ -162,30 +163,31 @@ impl BufferedServer {
     ///   is `O(1)`) would turn an undefended mean aggregate `NaN`;
     /// - a base round later than the current round names a model the
     ///   server never sent, and would otherwise score as staleness 0.
+    ///
+    /// It emits one `UpdateDiscardedMalformed` naming the first failed
+    /// check, in that order, and no `UpdateReceived`.
     pub fn receive(&mut self, mut update: ClientUpdate) -> Option<AggregationReport> {
         self.received += 1;
-        let forged = update.base_round > self.round;
-        let staleness = self.round.saturating_sub(update.base_round);
-        update.staleness = staleness;
-        self.emit(Event::UpdateReceived {
-            client: update.client,
-            round: self.round,
-            staleness,
-        });
-        let dim = self.global.len();
-        if forged
-            || update.params.len() != dim
-            || update.delta.len() != dim
-            || !update.params_norm_squared().is_finite()
-            || !update.delta_norm_squared().is_finite()
-        {
+        if let Some(reason) = self.malformed(&update) {
             self.discarded_malformed += 1;
+            self.emit(Event::UpdateDiscardedMalformed {
+                client: update.client,
+                round: self.round,
+                reason,
+            });
             self.emit(Event::CounterAdd {
                 name: "updates_discarded_malformed",
                 delta: 1,
             });
             return None;
         }
+        let staleness = self.round - update.base_round;
+        update.staleness = staleness;
+        self.emit(Event::UpdateReceived {
+            client: update.client,
+            round: self.round,
+            staleness,
+        });
         if staleness > self.staleness_limit {
             self.discarded_stale += 1;
             self.emit(Event::UpdateDiscardedStale {
@@ -208,6 +210,22 @@ impl BufferedServer {
         self.buffer.push(update);
         if self.buffer.len() >= self.aggregation_bound {
             Some(self.aggregate_now())
+        } else {
+            None
+        }
+    }
+
+    /// The first receipt check `update` fails, if any.
+    fn malformed(&self, update: &ClientUpdate) -> Option<MalformedReason> {
+        let dim = self.global.len();
+        if update.params.len() != dim || update.delta.len() != dim {
+            Some(MalformedReason::Dimension)
+        } else if !update.params_norm_squared().is_finite()
+            || !update.delta_norm_squared().is_finite()
+        {
+            Some(MalformedReason::NonFiniteNorm)
+        } else if update.base_round > self.round {
+            Some(MalformedReason::FutureRound)
         } else {
             None
         }
@@ -443,7 +461,58 @@ mod tests {
             registry.emit(event);
         }
         assert_eq!(registry.counter("updates_discarded_malformed"), 2);
-        assert_eq!(mem.count_kind("update_received"), 6);
+        assert_eq!(mem.count_kind("update_discarded_malformed"), 2);
+        assert_eq!(mem.count_kind("update_received"), 4);
+    }
+
+    #[test]
+    fn forged_report_is_one_malformed_event_and_no_arrival() {
+        use asyncfl_telemetry::{Event, MalformedReason, MemorySink, SharedSink};
+        use std::sync::Arc;
+
+        let mem = Arc::new(MemorySink::new(256));
+        let mut s = server(2, 20).with_sink(SharedSink::from_arc(mem.clone()));
+        s.receive(upd(0, 0, &[0.0, 0.0]));
+        s.receive(upd(1, 0, &[0.0, 0.0]))
+            .expect("round 0 aggregates");
+        // The events one report adds to the trace.
+        let mut trace_of = |report: ClientUpdate| {
+            let before = mem.events().len();
+            s.receive(report);
+            mem.events().split_off(before)
+        };
+
+        // Base round 2 names a model the server has not built yet.
+        let forged = trace_of(upd(7, 2, &[5.0, 5.0]));
+        let discarded = Event::UpdateDiscardedMalformed {
+            client: 7,
+            round: 1,
+            reason: MalformedReason::FutureRound,
+        };
+        assert_eq!(
+            forged
+                .iter()
+                .filter(|e| e.kind() != "counter_add")
+                .collect::<Vec<_>>(),
+            [&discarded],
+            "one discard event and no update_received: {forged:?}"
+        );
+
+        // Each receipt check names itself, the dimension check first.
+        for (report, reason) in [
+            (upd(8, 9, &[1.0; 3]), MalformedReason::Dimension),
+            (upd(8, 9, &[f64::NAN, 0.0]), MalformedReason::NonFiniteNorm),
+        ] {
+            let events = trace_of(report);
+            assert!(
+                events.iter().any(|e| matches!(
+                    e,
+                    Event::UpdateDiscardedMalformed { reason: r, .. } if *r == reason
+                )),
+                "{reason:?}: {events:?}"
+            );
+            assert!(events.iter().all(|e| e.kind() != "update_received"));
+        }
     }
 
     #[test]
@@ -866,29 +935,57 @@ mod tests {
         proptest! {
             /// Under any stream of reports: the round counter only moves
             /// forward, the buffer stays strictly below the bound between
-            /// calls, staleness-histogram keys respect the limit, and the
-            /// receive/discard accounting balances.
+            /// calls, staleness-histogram keys respect the limit, and every
+            /// report is accounted for exactly once — buffered (the
+            /// histogram), discarded as malformed, or discarded as stale at
+            /// receipt.
             #[test]
             fn prop_server_invariants(
-                reports in proptest::collection::vec((0usize..8, 0u64..6, -5.0..5.0f64), 1..60),
+                reports in proptest::collection::vec(
+                    (0usize..8, 0u64..6, -5.0..5.0f64, 0u8..10),
+                    1..60,
+                ),
                 bound in 2usize..6,
                 limit in 0u64..4,
             ) {
                 let mut s = server(bound, limit);
                 let mut last_round = 0;
-                for (client, base_lag, value) in reports {
-                    // base_round at most the current round (clients cannot
-                    // train on future models).
-                    let base_round = s.round().saturating_sub(base_lag);
-                    let _ = s.receive(upd(client, base_round, &[value, -value]));
+                let (mut malformed, mut stale_at_receipt) = (0u64, 0u64);
+                for (client, base_lag, value, shape) in reports {
+                    // One report in ten forges a future base round and one
+                    // has the wrong dimension; the rest are at most
+                    // `base_lag` rounds old.
+                    let round = s.round();
+                    let (base_round, dim) = match shape {
+                        0 => (round + 1 + base_lag, 2),
+                        1 => (round.saturating_sub(base_lag), 3),
+                        _ => (round.saturating_sub(base_lag), 2),
+                    };
+                    if shape <= 1 {
+                        malformed += 1;
+                    } else if round - base_round > limit {
+                        stale_at_receipt += 1;
+                    }
+                    let _ = s.receive(upd(client, base_round, &[value, -value, value][..dim]));
                     prop_assert!(s.round() >= last_round);
                     last_round = s.round();
                     prop_assert!(s.buffer_len() < bound);
                     prop_assert!(s.staleness_histogram().keys().all(|&t| t <= limit));
                 }
                 let buffered: u64 = s.staleness_histogram().values().sum();
-                prop_assert!(buffered + s.discarded_stale() >= s.received()
-                    || buffered <= s.received());
+                prop_assert_eq!(s.discarded_malformed(), malformed);
+                prop_assert_eq!(
+                    s.received(),
+                    buffered + s.discarded_malformed() + stale_at_receipt,
+                    "received {} != buffered {} + malformed {} + stale at receipt {}",
+                    s.received(),
+                    buffered,
+                    s.discarded_malformed(),
+                    stale_at_receipt
+                );
+                // The passthrough filter defers nothing, so no buffered
+                // update ages out inside `aggregate_now`.
+                prop_assert_eq!(s.discarded_stale(), stale_at_receipt);
                 prop_assert!(s.global().is_finite());
             }
 

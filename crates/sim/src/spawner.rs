@@ -16,15 +16,17 @@
 //!
 //! Because the order is identical, every paper-scale golden and
 //! `tests/determinism.rs` pin holds byte-for-byte; because it is a pure
-//! function, nothing needs to stay resident. Dataset shards — the only
-//! heavy piece — are kept in a bounded, least-recently-used
-//! [`shard cache`](ClientSpawner::resident_states) and regenerated on miss,
-//! so steady-state memory is `O(cache capacity)`, not `O(num_clients)`.
-//! At paper scales the default capacity covers the whole population and
-//! behaviour (including per-pass allocation counts after warm-up) matches
-//! the old precomputed arrays; at millions of clients the cache bounds
-//! residency while training results stay bit-identical, since a
-//! regenerated shard is byte-equal to the evicted one.
+//! function, nothing needs to stay resident.
+//!
+//! [`spawn`](ClientSpawner::spawn) builds no shard: it runs the label
+//! distribution draw as is and skips the shard's sample draws with
+//! `Task::skip_client_dataset` (`O(1)` per sample), so kickoff costs no
+//! dataset synthesis. A shard is synthesized only by
+//! [`dataset`](ClientSpawner::dataset), and kept in a bounded,
+//! least-recently-used [`shard cache`](ClientSpawner::resident_states)
+//! that regenerates it on a miss, so steady-state memory is
+//! `O(cache capacity)`, not `O(num_clients)`. A regenerated shard is
+//! byte-equal to the evicted one, so cache state never moves a result.
 //!
 //! The attacker set is derived once with
 //! [`select_prefix`](asyncfl_data::sampling::select_prefix) — the same
@@ -262,10 +264,10 @@ impl ClientSpawner {
             .len()
     }
 
-    /// The full per-client derivation — the pure replay of the draw order
-    /// documented on the module. Returns the in-flight state (with the
-    /// live RNG positioned after the factor draw) and the derived shard.
-    fn derive(&self, client: usize) -> (ClientState, Arc<Dataset>) {
+    /// The client's substream positioned after the partition-size jitter
+    /// draw, with the partition size: the first step of both `spawn` and
+    /// shard synthesis.
+    fn sized_stream(&self, client: usize) -> (StdRng, usize) {
         let mut rng = asyncfl_rng::stream::substream(self.seed, client as u64);
         let size = if self.partition_jitter > 0.0 {
             let factor = 1.0 + self.partition_jitter * (2.0 * rng.random::<f64>() - 1.0);
@@ -273,40 +275,30 @@ impl ClientSpawner {
         } else {
             self.partition_size
         };
-        let mut data = self
-            .task
-            .client_dataset(&self.partitioner, client, size, &mut rng);
-        let factor = self.latency.draw_factor(&mut rng);
-        let malicious = self.is_malicious(client);
-        if self.poison_labels && malicious {
-            data = data.with_flipped_labels();
-        }
-        (
-            ClientState {
-                rng: Some(rng),
-                factor,
-                size,
-                malicious,
-            },
-            Arc::new(data),
-        )
+        (rng, size)
     }
 
     /// Materializes `client`'s in-flight state (live RNG, latency factor,
-    /// partition size, attacker flag), warming the shard cache with its
-    /// dataset as a side effect. Called once per client, at kickoff; the
-    /// returned state then lives in the client's heap entry.
+    /// partition size, attacker flag) without building its shard: the
+    /// shard's draws are skipped, and the cache is left untouched. Called
+    /// once per client, at kickoff; the returned state then lives in the
+    /// client's heap entry.
     pub fn spawn(&self, client: usize) -> ClientState {
-        let (state, data) = self.derive(client);
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(client, data);
-        state
+        let (mut rng, size) = self.sized_stream(client);
+        self.task
+            .skip_client_dataset(&self.partitioner, size, &mut rng);
+        let factor = self.latency.draw_factor(&mut rng);
+        ClientState {
+            rng: Some(rng),
+            factor,
+            size,
+            malicious: self.is_malicious(client),
+        }
     }
 
     /// The client's dataset shard: cache hit (one `Arc` clone, no
-    /// allocation) or pure regeneration on miss.
+    /// allocation) or, on a miss, synthesis from the client's substream
+    /// (labels flipped for an attacker under label poisoning).
     pub fn dataset(&self, client: usize) -> Arc<Dataset> {
         if let Some(data) = self
             .cache
@@ -316,7 +308,14 @@ impl ClientSpawner {
         {
             return data;
         }
-        let (_, data) = self.derive(client);
+        let (mut rng, size) = self.sized_stream(client);
+        let mut data = self
+            .task
+            .client_dataset(&self.partitioner, client, size, &mut rng);
+        if self.poison_labels && self.is_malicious(client) {
+            data = data.with_flipped_labels();
+        }
+        let data = Arc::new(data);
         self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -328,8 +327,99 @@ impl ClientSpawner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asyncfl_data::synthetic::TaskSpec;
     use asyncfl_data::DatasetProfile;
     use asyncfl_rng::SeedableRng;
+    use proptest::prelude::*;
+
+    /// The oracle `spawn` is checked against: the full derivation, which
+    /// synthesizes the shard to move the stream to the factor draw.
+    fn synthesized(spawner: &ClientSpawner, client: usize) -> (ClientState, Dataset) {
+        let mut rng = asyncfl_rng::stream::substream(spawner.seed, client as u64);
+        let size = if spawner.partition_jitter > 0.0 {
+            let factor = 1.0 + spawner.partition_jitter * (2.0 * rng.random::<f64>() - 1.0);
+            ((spawner.partition_size as f64 * factor).round() as usize).max(1)
+        } else {
+            spawner.partition_size
+        };
+        let mut data = spawner
+            .task
+            .client_dataset(&spawner.partitioner, client, size, &mut rng);
+        let factor = spawner.latency.draw_factor(&mut rng);
+        let malicious = spawner.is_malicious(client);
+        if spawner.poison_labels && malicious {
+            data = data.with_flipped_labels();
+        }
+        let state = ClientState {
+            rng: Some(rng),
+            factor,
+            size,
+            malicious,
+        };
+        (state, data)
+    }
+
+    proptest! {
+        /// `spawn` reaches the state the full synthesis reaches (RNG
+        /// position, factor, size, attacker flag) without filling the
+        /// cache, and `dataset` returns the synthesized shard byte for
+        /// byte: every profile plus a noise-free task, IID and Dirichlet
+        /// at α ∈ {0.01, 0.1, 0.5}, jitter on and off, Zipf and log-normal
+        /// latency, label poisoning on and off, for an attacker and an
+        /// honest client.
+        #[test]
+        fn prop_spawn_skips_exactly_the_synthesized_draws(
+            seed in 0u64..1_000_000,
+            size in 1usize..24,
+            client in 0usize..63,
+        ) {
+            let partitioners = [
+                Partitioner::iid(),
+                Partitioner::dirichlet(0.01),
+                Partitioner::dirichlet(0.1),
+                Partitioner::dirichlet(0.5),
+            ];
+            let latencies = [LatencyModel::zipf(1.2, 4), LatencyModel::log_normal(0.5)];
+            for profile in DatasetProfile::ALL.map(Some).into_iter().chain([None]) {
+                let mut master = StdRng::seed_from_u64(seed);
+                let task = Arc::new(match profile {
+                    Some(p) => p.build_task(&mut master),
+                    None => Task::new(TaskSpec::default(), &mut master),
+                });
+                for partitioner in &partitioners {
+                    for jitter in [0.0, 0.5] {
+                        for latency in &latencies {
+                            for poison in [false, true] {
+                                let mut spawner = ClientSpawner::new(
+                                    seed,
+                                    64,
+                                    partitioner.clone(),
+                                    size,
+                                    jitter,
+                                    latency.clone(),
+                                    Arc::clone(&task),
+                                    vec![client],
+                                    4,
+                                );
+                                if poison {
+                                    spawner.set_poison_labels();
+                                }
+                                let clients = [client, client + 1];
+                                let oracle = clients.map(|c| synthesized(&spawner, c));
+                                for (c, (state, _)) in clients.iter().zip(&oracle) {
+                                    prop_assert_eq!(&spawner.spawn(*c), state);
+                                }
+                                prop_assert_eq!(spawner.resident_states(), 0);
+                                for (c, (_, data)) in clients.iter().zip(&oracle) {
+                                    prop_assert_eq!(&*spawner.dataset(*c), data);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn test_spawner(cache_capacity: usize) -> ClientSpawner {
         let mut master = StdRng::seed_from_u64(7);

@@ -34,13 +34,38 @@ impl std::fmt::Display for Verdict {
     }
 }
 
+/// Why a report was discarded as malformed at receipt, before any
+/// filter saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MalformedReason {
+    /// A `params` or `delta` dimension differs from the global model's.
+    Dimension,
+    /// A cached `‖params‖²` or `‖delta‖²` is not finite.
+    NonFiniteNorm,
+    /// The claimed base round is later than the server's round.
+    FutureRound,
+}
+
+impl MalformedReason {
+    /// The snake_case wire name (`"dimension"`, `"non_finite_norm"`,
+    /// `"future_round"`).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            MalformedReason::Dimension => "dimension",
+            MalformedReason::NonFiniteNorm => "non_finite_norm",
+            MalformedReason::FutureRound => "future_round",
+        }
+    }
+}
+
 /// One structured observation of the update lifecycle.
 ///
 /// Events are cheap, `Copy`-free value types; sinks receive them by
 /// reference and decide whether to store, serialize or fold them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A client report arrived at the server (before staleness screening).
+    /// A well-formed client report arrived at the server (after the
+    /// receipt checks, before staleness screening).
     UpdateReceived {
         /// Submitting client.
         client: usize,
@@ -58,6 +83,16 @@ pub enum Event {
         round: u64,
         /// The offending staleness value.
         staleness: u64,
+    },
+    /// A report was discarded at receipt as malformed. It emits no
+    /// [`Event::UpdateReceived`] and never reaches a filter.
+    UpdateDiscardedMalformed {
+        /// Submitting client.
+        client: usize,
+        /// Server round at the discard.
+        round: u64,
+        /// The failed receipt check.
+        reason: MalformedReason,
     },
     /// The filter's per-update decision for one buffered report.
     ///
@@ -135,6 +170,7 @@ impl Event {
         match self {
             Event::UpdateReceived { .. } => "update_received",
             Event::UpdateDiscardedStale { .. } => "update_discarded_stale",
+            Event::UpdateDiscardedMalformed { .. } => "update_discarded_malformed",
             Event::FilterScore { .. } => "filter_score",
             Event::AggregationCompleted { .. } => "aggregation_completed",
             Event::AccuracyCheckpoint { .. } => "accuracy_checkpoint",
@@ -174,6 +210,15 @@ impl Event {
                     out,
                     ",\"client\":{client},\"round\":{round},\"staleness\":{staleness}"
                 );
+            }
+            Event::UpdateDiscardedMalformed {
+                client,
+                round,
+                reason,
+            } => {
+                let _ = write!(out, ",\"client\":{client},\"round\":{round},\"reason\":\"");
+                out.push_str(reason.as_str());
+                out.push('"');
             }
             Event::FilterScore {
                 client,
@@ -313,6 +358,15 @@ mod tests {
             e.to_json(),
             r#"{"type":"update_received","client":3,"round":7,"staleness":2}"#
         );
+        let e = Event::UpdateDiscardedMalformed {
+            client: 4,
+            round: 9,
+            reason: MalformedReason::FutureRound,
+        };
+        assert_eq!(
+            e.to_json(),
+            r#"{"type":"update_discarded_malformed","client":4,"round":9,"reason":"future_round"}"#
+        );
         let e = Event::FilterScore {
             client: 1,
             staleness_group: 0,
@@ -385,5 +439,7 @@ mod tests {
         };
         assert_eq!(e.kind(), "accuracy_checkpoint");
         assert_eq!(Verdict::Accepted.to_string(), "accepted");
+        assert_eq!(MalformedReason::Dimension.as_str(), "dimension");
+        assert_eq!(MalformedReason::NonFiniteNorm.as_str(), "non_finite_norm");
     }
 }

@@ -74,7 +74,7 @@ pub mod sink;
 pub mod span;
 
 pub use clock::Stopwatch;
-pub use event::{Event, Verdict};
+pub use event::{Event, MalformedReason, Verdict};
 pub use metrics::{Log2Histogram, MetricsRegistry};
 pub use sink::{FanoutSink, JsonlSink, MemorySink, NullSink, SharedSink, Sink};
 pub use span::Span;

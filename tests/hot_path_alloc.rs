@@ -1,6 +1,6 @@
 //! Allocation bounds on the hot paths (DESIGN.md §9): a warm AsyncFilter
-//! pass, a FedBuff mean aggregate, one local training call, and a whole
-//! small run per received update.
+//! pass, a FedBuff mean aggregate, one local training call, kickoff
+//! spawning, and a whole small run per received update.
 //!
 //! Allocation is deterministic at a fixed workload, so each bound is about
 //! twice what was measured, with the measured value next to it. A copy or
@@ -49,6 +49,13 @@ const AGGREGATE_BYTES_BOUND: u64 = 4_200_000;
 /// About twice the 104 944 bytes one CIFAR-profile `train` call allocates
 /// (256 samples, 5 epochs, batch 64).
 const TRAIN_BYTES_BOUND: u64 = 210_000;
+/// About 1.6× the 80 bytes spawning one client allocates (a 4-sample
+/// MNIST shard under Dirichlet(0.1)): the label distribution's `Vec`,
+/// nothing else. Synthesizing and caching the shard at spawn allocated
+/// 1 363.
+const SPAWN_BYTES_PER_CLIENT_BOUND: u64 = 128;
+/// Clients spawned by the kickoff measurement.
+const KICKOFF_CLIENTS: usize = 1_000;
 /// About twice the 168 025 bytes a small AsyncFilter run allocates per
 /// received update. One 1 024-sample shard synthesis is about 295 kB, so
 /// a second one per dispatch fails it.
@@ -220,6 +227,30 @@ fn hot_paths_stay_within_their_allocation_bounds() {
              permutations (1 epoch {one} B, 5 epochs {five} B)"
         );
     }
+
+    // Kickoff: `spawn` skips a client's shard draws instead of building
+    // the shard, and leaves the shard cache empty.
+    let mut cfg = SimConfig::paper_default(DatasetProfile::Mnist);
+    cfg.num_clients = KICKOFF_CLIENTS;
+    cfg.num_malicious = KICKOFF_CLIENTS / 5;
+    cfg.partition_size = Some(4);
+    let sim = Simulation::new(cfg);
+    let ((), bytes) = measure(|| {
+        for client in 0..KICKOFF_CLIENTS {
+            std::hint::black_box(sim.spawner().spawn(client));
+        }
+    });
+    let per_client = bytes / KICKOFF_CLIENTS as u64;
+    assert!(
+        per_client <= SPAWN_BYTES_PER_CLIENT_BOUND,
+        "spawning {KICKOFF_CLIENTS} clients allocated {per_client} bytes per client \
+         (bound {SPAWN_BYTES_PER_CLIENT_BOUND}; {bytes} bytes in all)"
+    );
+    assert_eq!(
+        sim.spawner().resident_states(),
+        0,
+        "spawn must not synthesize or cache shards"
+    );
 
     // A whole small run, per received update.
     let mut cfg = SimConfig::smoke_test();
