@@ -203,6 +203,35 @@ fn scorable(u: &ClientUpdate) -> bool {
     u.params_norm_squared().is_finite()
 }
 
+/// Eq. 6 through the cached-norm identity `‖ω‖² + ‖MA‖² − 2·ω·MA`, or
+/// NaN when `‖ω‖² + ‖MA‖²` overflows. There the identity computes
+/// `inf − inf` or `inf`, and the distance clamp would turn the former into
+/// 0.0, the most benign distance.
+fn eq6(u: &ClientUpdate, est: &Vector, est_norm_sq: f64) -> f64 {
+    let norm_sq = u.params_norm_squared();
+    if (norm_sq + est_norm_sq).is_finite() {
+        u.params
+            .distance_squared_from_norms(norm_sq, est, est_norm_sq)
+    } else {
+        f64::NAN
+    }
+}
+
+/// Eq. 7's root-sum-of-squares denominator over finite squared
+/// distances. When their plain sum overflows (two squared distances of
+/// 1.7e308 do), it is re-reduced at a 2⁻⁶⁴ scale: power-of-two scaling
+/// keeps the ratios to the distances, where reading `inf` would zero every
+/// score and pass the updates that overflowed it as benign. Every pass
+/// whose plain sum is finite gets exactly the plain sum.
+fn root_sum_sq(d_sq: impl Iterator<Item = f64> + Clone) -> f64 {
+    let plain = sum_seq(d_sq.clone()).sqrt();
+    if plain.is_finite() {
+        return plain;
+    }
+    const SCALE: f64 = 4_294_967_296.0; // 2³²
+    sum_seq(d_sq.map(|d| d / SCALE / SCALE)).sqrt() * SCALE
+}
+
 /// Coordinate-wise 25%-trimmed mean used to bootstrap new-group estimates.
 /// Borrows the parameter vectors — no update is cloned. Empty input (never
 /// produced by the callers) yields an empty vector.
@@ -396,6 +425,96 @@ impl AsyncFilter {
         boot
     }
 
+    /// Eq. 4–6 for one pass: fills `scr.keys` and `scr.uniq` (staleness
+    /// groups), `scr.dist_sq` (each update's squared distance to its own
+    /// group's estimate) and, for a multi-group `CrossGroup` pass,
+    /// `scr.cross` (its squared distance to every estimate). Returns the
+    /// number of distances evaluated.
+    ///
+    /// A non-finite `dist_sq[i]` marks update `i` as one the pass cannot
+    /// normalize: its own distance overflowed f64, or under `CrossGroup`
+    /// its distances to the estimates did, alone or summed into its own
+    /// eq. 7 denominator. Shared denominators (`Global`, `WithinGroup`)
+    /// cannot be charged to one update; [`root_sum_sq`] rescales them.
+    fn measure(&self, finite: &[ClientUpdate], scr: &mut Scratch) -> u64 {
+        let n = finite.len();
+        // Eq. 4: per-update staleness-bucket keys plus the sorted unique
+        // key list, in reused buffers rather than a per-pass map.
+        scr.keys.clear();
+        for u in finite {
+            let key = self.group_key(u.staleness);
+            scr.keys.push(key);
+        }
+        scr.uniq.clear();
+        scr.uniq.extend_from_slice(&scr.keys);
+        scr.uniq.sort_unstable();
+        scr.uniq.dedup();
+
+        // Estimates to score against (pre-update; see module docs): live
+        // groups are borrowed in place, history-less groups bootstrapped
+        // from the current buffer. `ests` is aligned with `scr.uniq`.
+        let boot = self.bootstrap_estimates(&scr.uniq, &scr.keys, finite);
+        let mut ests: Vec<(&Vector, f64)> = Vec::with_capacity(scr.uniq.len());
+        {
+            let mut bi = 0;
+            for &key in &scr.uniq {
+                if let Some(state) = self.groups.get(&key) {
+                    ests.push((&state.ma, state.norm_sq));
+                } else {
+                    // lint:allow(P2) -- bootstrap_estimates emits one entry per
+                    // non-live key, in the same ascending order walked here
+                    let (bk, ma, norm_sq) = &boot[bi];
+                    debug_assert_eq!(*bk, key);
+                    bi += 1;
+                    ests.push((ma, *norm_sq));
+                }
+            }
+        }
+
+        // Eq. 6: per-update squared distance to its own group estimate,
+        // each a single dot product via the cached norms.
+        scr.dist_sq.clear();
+        scr.dist_sq.resize(n, 0.0);
+        for (gi, &key) in scr.uniq.iter().enumerate() {
+            let (own, own_norm_sq) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
+            for (i, u) in finite.iter().enumerate() {
+                // lint:allow(P2) -- keys/dist_sq are both sized to n
+                if scr.keys[i] != key {
+                    continue;
+                }
+                scr.dist_sq[i] = eq6(u, own, own_norm_sq); // lint:allow(P2) -- dist_sq was sized to n
+            }
+        }
+        let g = scr.uniq.len();
+        if self.config.score_normalization != ScoreNormalization::CrossGroup || g == 1 {
+            return n as u64;
+        }
+        // Per-(group, update) squared-distance matrix in a flat reused
+        // buffer: own-group entries are exactly `dist_sq`, every other
+        // entry is one dot product.
+        scr.cross.clear();
+        scr.cross.resize(g * n, 0.0);
+        for (gi, &key) in scr.uniq.iter().enumerate() {
+            let (ma, ma_norm_sq) = ests[gi]; // lint:allow(P2) -- aligned with uniq
+            for (i, u) in finite.iter().enumerate() {
+                // lint:allow(P2) -- keys/dist_sq sized to n
+                let v = if scr.keys[i] == key {
+                    scr.dist_sq[i] // lint:allow(P2) -- dist_sq sized to n
+                } else {
+                    eq6(u, ma, ma_norm_sq)
+                };
+                scr.cross[gi * n + i] = v; // lint:allow(P2) -- cross sized to g·n
+            }
+        }
+        for (i, d) in scr.dist_sq.iter_mut().enumerate() {
+            // lint:allow(P2) -- cross is sized to g·n
+            if !sum_seq((0..g).map(|r| scr.cross[r * n + i])).is_finite() {
+                *d = f64::NAN;
+            }
+        }
+        (g * n) as u64
+    }
+
     /// Emits the distance-evaluation count accumulated since the previous
     /// emission.
     fn emit_counters(&mut self, ctx: &FilterContext<'_>) {
@@ -440,72 +559,36 @@ impl UpdateFilter for AsyncFilter {
             };
         outcome.rejected.extend(broken);
 
-        if finite.len() < self.config.min_updates {
-            // Too few points to cluster meaningfully; absorb and accept.
-            for u in &finite {
-                let key = self.group_key(u.staleness);
-                self.absorb(key, &u.params, u.params_norm_squared());
+        let mut scr = std::mem::take(&mut self.scratch);
+        // Eq. 4–6, measured again without any update whose distances f64
+        // cannot hold (finite coordinates whose distance to an estimate
+        // overflows): those are rejected, and the estimates bootstrapped
+        // from the buffer are rebuilt without them.
+        loop {
+            if finite.len() < self.config.min_updates {
+                // Too few points to cluster meaningfully; absorb and accept.
+                for u in &finite {
+                    let key = self.group_key(u.staleness);
+                    self.absorb(key, &u.params, u.params_norm_squared());
+                }
+                outcome.accepted.append(&mut finite);
+                self.scratch = scr;
+                self.emit_counters(ctx);
+                return outcome;
             }
-            outcome.accepted.append(&mut finite);
-            return outcome;
+            self.distances_computed += self.measure(&finite, &mut scr);
+            if scr.dist_sq.iter().all(|d| d.is_finite()) {
+                break;
+            }
+            let mut measured = scr.dist_sq.iter();
+            let (kept, overflowed): (Vec<ClientUpdate>, Vec<ClientUpdate>) = finite
+                .into_iter()
+                .partition(|_| measured.next().is_some_and(|d| d.is_finite()));
+            outcome.rejected.extend(overflowed);
+            finite = kept;
         }
 
         let n = finite.len();
-        let mut scr = std::mem::take(&mut self.scratch);
-
-        // Eq. 4: per-update staleness-bucket keys plus the sorted unique
-        // key list, in reused buffers rather than a per-pass map.
-        scr.keys.clear();
-        for u in &finite {
-            let key = self.group_key(u.staleness);
-            scr.keys.push(key);
-        }
-        scr.uniq.clear();
-        scr.uniq.extend_from_slice(&scr.keys);
-        scr.uniq.sort_unstable();
-        scr.uniq.dedup();
-
-        // Estimates to score against (pre-update; see module docs): live
-        // groups are borrowed in place, history-less groups bootstrapped
-        // from the current buffer. `ests` is aligned with `scr.uniq`.
-        let boot = self.bootstrap_estimates(&scr.uniq, &scr.keys, &finite);
-        let groups = &self.groups;
-        let mut ests: Vec<(&Vector, f64)> = Vec::with_capacity(scr.uniq.len());
-        {
-            let mut bi = 0;
-            for &key in &scr.uniq {
-                if let Some(state) = groups.get(&key) {
-                    ests.push((&state.ma, state.norm_sq));
-                } else {
-                    // lint:allow(P2) -- bootstrap_estimates emits one entry per
-                    // non-live key, in the same ascending order walked here
-                    let (bk, ma, norm_sq) = &boot[bi];
-                    debug_assert_eq!(*bk, key);
-                    bi += 1;
-                    ests.push((ma, *norm_sq));
-                }
-            }
-        }
-
-        // Eq. 6: per-update squared distance to its own group estimate,
-        // each a single dot product via the cached norms:
-        // d(MA, ω)² = ‖MA‖² + ‖ω‖² − 2·MA·ω.
-        scr.dist_sq.clear();
-        scr.dist_sq.resize(n, 0.0);
-        let mut computed = n as u64;
-        for (gi, &key) in scr.uniq.iter().enumerate() {
-            let (own, own_norm_sq) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
-            for (i, u) in finite.iter().enumerate() {
-                // lint:allow(P2) -- keys/dist_sq are both sized to n
-                if scr.keys[i] != key {
-                    continue;
-                }
-                // lint:allow(P2) -- dist_sq was sized to n
-                scr.dist_sq[i] =
-                    u.params
-                        .distance_squared_from_norms(u.params_norm_squared(), own, own_norm_sq);
-            }
-        }
         scr.dist.clear();
         scr.dist.extend(scr.dist_sq.iter().map(|d| d.sqrt()));
         // Eq. 7: normalization into suspicious scores. The denominators are
@@ -515,29 +598,29 @@ impl UpdateFilter for AsyncFilter {
         scr.scores.clear();
         scr.scores.resize(n, 0.0);
         match self.config.score_normalization {
-            ScoreNormalization::Global => {
-                let denom = sum_seq(scr.dist_sq.iter().copied()).sqrt();
-                if denom > 0.0 {
-                    for (s, &d) in scr.scores.iter_mut().zip(&scr.dist) {
-                        *s = d / denom;
+            ScoreNormalization::CrossGroup if scr.uniq.len() > 1 => {
+                // The denominators are the column sums of the (group ×
+                // update) matrix `measure` filled, rows in ascending group
+                // key order.
+                let g = scr.uniq.len();
+                for i in 0..n {
+                    // lint:allow(P2) -- cross is sized to g·n
+                    let denom = root_sum_sq((0..g).map(|r| scr.cross[r * n + i]));
+                    if denom > 0.0 {
+                        // lint:allow(P2) -- scores/dist sized to n
+                        scr.scores[i] = scr.dist[i] / denom;
                     }
-                    // Eq. 7 invariant: the score vector is unit-norm.
-                    debug_assert!(
-                        (scr.scores.iter().map(|s| s * s).sum::<f64>() - 1.0).abs() < 1e-6,
-                        "eq. 7 global normalization lost unit norm"
-                    );
                 }
             }
             ScoreNormalization::WithinGroup => {
                 for &key in &scr.uniq {
-                    let denom = sum_seq(
+                    let denom = root_sum_sq(
                         scr.keys
                             .iter()
                             .zip(&scr.dist_sq)
                             .filter(|&(&k, _)| k == key)
                             .map(|(_, &d)| d),
-                    )
-                    .sqrt();
+                    );
                     if denom > 0.0 {
                         for i in 0..n {
                             // lint:allow(P2) -- keys/scores/dist sized to n
@@ -562,54 +645,20 @@ impl UpdateFilter for AsyncFilter {
                     }
                 }
             }
-            ScoreNormalization::CrossGroup => {
-                if scr.uniq.len() == 1 {
-                    // Degenerates to score = 1 for everyone; fall back to the
-                    // within-group reading so ordering survives.
-                    let denom = sum_seq(scr.dist_sq.iter().copied()).sqrt();
-                    if denom > 0.0 {
-                        for (s, &d) in scr.scores.iter_mut().zip(&scr.dist) {
-                            *s = d / denom;
-                        }
-                        debug_assert!(
-                            (scr.scores.iter().map(|s| s * s).sum::<f64>() - 1.0).abs() < 1e-6,
-                            "eq. 7 single-group fallback normalization lost unit norm"
-                        );
+            // `CrossGroup` over a single group degenerates to score = 1
+            // for everyone; it falls back to the global reading so
+            // ordering survives.
+            ScoreNormalization::Global | ScoreNormalization::CrossGroup => {
+                let denom = root_sum_sq(scr.dist_sq.iter().copied());
+                if denom > 0.0 {
+                    for (s, &d) in scr.scores.iter_mut().zip(&scr.dist) {
+                        *s = d / denom;
                     }
-                } else {
-                    // Per-(group, update) squared-distance matrix in a flat
-                    // reused buffer: own-group entries are exactly
-                    // `dist_sq`, every other entry is one dot product.
-                    // Column sums (rows ascending, exactly the old
-                    // `BTreeMap` iteration order) are the denominators.
-                    let g = scr.uniq.len();
-                    computed += ((g - 1) * n) as u64;
-                    scr.cross.clear();
-                    scr.cross.resize(g * n, 0.0);
-                    for (gi, &key) in scr.uniq.iter().enumerate() {
-                        let (ma, ma_norm_sq) = ests[gi]; // lint:allow(P2) -- aligned with uniq
-                        for (i, u) in finite.iter().enumerate() {
-                            // lint:allow(P2) -- keys/dist_sq sized to n
-                            let v = if scr.keys[i] == key {
-                                scr.dist_sq[i] // lint:allow(P2) -- dist_sq sized to n
-                            } else {
-                                u.params.distance_squared_from_norms(
-                                    u.params_norm_squared(),
-                                    ma,
-                                    ma_norm_sq,
-                                )
-                            };
-                            scr.cross[gi * n + i] = v; // lint:allow(P2) -- cross sized to g·n
-                        }
-                    }
-                    for i in 0..n {
-                        // lint:allow(P2) -- cross/scores/dist sized to g·n and n
-                        let denom = sum_seq((0..g).map(|r| scr.cross[r * n + i])).sqrt();
-                        if denom > 0.0 {
-                            // lint:allow(P2) -- scores/dist sized to n
-                            scr.scores[i] = scr.dist[i] / denom;
-                        }
-                    }
+                    // Eq. 7 invariant: the score vector is unit-norm.
+                    debug_assert!(
+                        (scr.scores.iter().map(|s| s * s).sum::<f64>() - 1.0).abs() < 1e-6,
+                        "eq. 7 global normalization lost unit norm"
+                    );
                 }
             }
         }
@@ -676,7 +725,6 @@ impl UpdateFilter for AsyncFilter {
             self.absorb(key, &u.params, u.params_norm_squared());
         }
 
-        self.distances_computed += computed;
         self.scratch = scr;
         self.emit_counters(ctx);
 
@@ -1245,6 +1293,70 @@ mod tests {
         // Below `min_updates` nothing is scored.
         let _ = f.filter(outlier_scenario()[..3].to_vec(), &ctx_with(&g));
         assert_eq!(f.distances_computed(), 10);
+    }
+
+    /// Sixteen honest 2-d updates plus `colluders` updates at
+    /// `[1.3e154, 0]`. Each colluder's `‖ω‖²` is 1.69e308: finite, so
+    /// receipt and the sanitize predicate pass it, but two of them
+    /// overflow any sum of squared distances. `groups` staleness groups
+    /// share the honest updates; colluders sit in group 0.
+    fn overflow_scenario(colluders: usize, groups: u64) -> Vec<ClientUpdate> {
+        let mut updates: Vec<ClientUpdate> = (0..16)
+            .map(|i| {
+                let v = 1.0 + 0.05 * i as f64;
+                upd(i, i as u64 % groups, &[v, 2.0 - v], false)
+            })
+            .collect();
+        for c in 0..colluders {
+            updates.push(upd(16 + c, 0, &[1.3e154, 0.0], true));
+        }
+        assert!(updates.iter().all(scorable));
+        updates
+    }
+
+    /// A finite-norm update must not make any score non-finite, panic
+    /// the pass, or pass as benign by overflowing the eq. 7 denominator
+    /// (which would read `inf` and zero every score). Two colluders keep
+    /// every distance finite and overflow only the denominators; twelve
+    /// drag the bootstrap estimate so far out that their own distances
+    /// overflow (an `inf/inf` score made `kmeans_1d` assert).
+    #[test]
+    fn finite_norm_overflow_is_rejected_under_every_normalization() {
+        let g = Vector::zeros(2);
+        for colluders in [2, 12] {
+            for groups in [1, 2] {
+                for normalization in [
+                    ScoreNormalization::Global,
+                    ScoreNormalization::WithinGroup,
+                    ScoreNormalization::CrossGroup,
+                ] {
+                    let at = format!("{colluders} colluders, {groups} groups, {normalization:?}");
+                    let mut f = AsyncFilter::new(AsyncFilterConfig {
+                        score_normalization: normalization,
+                        ..AsyncFilterConfig::default()
+                    });
+                    let out = f.filter(overflow_scenario(colluders, groups), &ctx_with(&g));
+                    assert_eq!(out.len(), 16 + colluders, "{at}");
+                    assert!(
+                        out.rejected.iter().filter(|u| u.truth_malicious).count() == colluders,
+                        "{at}: colluders kept: accepted {:?}, deferred {:?}",
+                        out.accepted.iter().map(|u| u.client).collect::<Vec<_>>(),
+                        out.deferred.iter().map(|u| u.client).collect::<Vec<_>>()
+                    );
+                    assert!(
+                        f.last_scores().iter().all(|s| s.score.is_finite()),
+                        "{at}: scores {:?}",
+                        f.last_scores()
+                    );
+                    assert!(
+                        f.groups
+                            .values()
+                            .all(|s| s.ma.is_finite() && s.norm_sq.is_finite()),
+                        "{at}: estimate poisoned"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

@@ -6,6 +6,7 @@
 //! state, so a fresh optimizer per local round mirrors how PLATO clients
 //! re-instantiate their `torch.optim` objects each round.
 
+use asyncfl_tensor::kernels::{self, AdamStep};
 use asyncfl_tensor::Vector;
 
 /// An object-safe first-order optimizer over flat parameter vectors.
@@ -106,9 +107,13 @@ impl Optimizer for Sgd {
             grad.len(),
             "Sgd::step: gradient dimension changed mid-run"
         );
-        velocity.scale(self.momentum);
-        velocity.axpy(1.0, grad);
-        params.axpy(-self.lr, velocity);
+        kernels::sgd_momentum_step(
+            params.as_mut_slice(),
+            velocity.as_mut_slice(),
+            grad.as_slice(),
+            self.lr,
+            self.momentum,
+        );
     }
 
     fn learning_rate(&self) -> f64 {
@@ -202,20 +207,21 @@ impl Optimizer for Adam {
             "Adam::step: gradient dimension changed mid-run"
         );
         self.t += 1;
-        let b1 = self.beta1;
-        let b2 = self.beta2;
-        m.lerp(grad, 1.0 - b1);
-        for (vi, gi) in v.iter_mut().zip(grad.iter()) {
-            *vi = b2 * *vi + (1.0 - b2) * gi * gi;
-        }
-        let bias1 = 1.0 - b1.powi(self.t as i32);
-        let bias2 = 1.0 - b2.powi(self.t as i32);
-        let ps = params.as_mut_slice();
-        for ((p, &mi), &vi) in ps.iter_mut().zip(m.iter()).zip(v.iter()) {
-            let m_hat = mi / bias1;
-            let v_hat = vi / bias2;
-            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bias1: 1.0 - self.beta1.powi(self.t as i32),
+            bias2: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        kernels::adam_step(
+            params.as_mut_slice(),
+            m.as_mut_slice(),
+            v.as_mut_slice(),
+            grad.as_slice(),
+            step,
+        );
     }
 
     fn learning_rate(&self) -> f64 {

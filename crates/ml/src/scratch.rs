@@ -10,13 +10,17 @@
 //! # Reduction-order policy
 //!
 //! The batched kernels perform the *exact same floating-point operations in
-//! the exact same order* as the per-sample formulation they replace:
-//! `gemm_nt` evaluates each logit as the same fixed-reduction-tree `dot`,
-//! `gemm_tn_acc` accumulates the weight gradient sample-by-sample in
-//! ascending order (the order the old `rank1_update` loop used), and
-//! `gemm_nn` rebuilds the backward `t_matvec` accumulation order. Batched
-//! and per-sample gradients therefore agree bit-for-bit, and seeded
-//! simulations reproduce byte-identically across the two code paths.
+//! the exact same order* as the per-sample formulation they replace. Each
+//! GEMM in `asyncfl_tensor::kernels` is a register-blocked microkernel,
+//! runtime-dispatched to the host's vector width, with a per-element order
+//! contract: every `gemm_nt` logit is one `dot` (eight lane accumulators
+//! and the fixed `reduce` tree), every `gemm_tn_acc` weight-gradient entry
+//! gains its per-sample terms in ascending sample order (the order of the
+//! old `rank1_update` loop), and every `gemm_nn` backward entry is the
+//! ascending `t_matvec` accumulation. Tiling and ISA level change only
+//! which outputs share a loaded chunk, never an output's operation
+//! sequence. Batched and per-sample gradients therefore agree bit-for-bit
+//! at every ISA level, and seeded simulations reproduce byte-identically.
 
 use crate::loss::cross_entropy_grad_in_place;
 use asyncfl_tensor::kernels::{add_row_broadcast, axpy, gemm_nn, gemm_nt, gemm_tn_acc, sum_seq};
@@ -42,6 +46,9 @@ pub struct TrainScratch {
     acts: Vec<Matrix>,
     /// Ping-pong workspace for backward deltas.
     spare: Matrix,
+    /// `gemm_nt`'s transposed-weight panel for layers wider than its
+    /// stack block; stays empty for narrower models.
+    panel: Vec<f64>,
 }
 
 impl TrainScratch {
@@ -142,7 +149,12 @@ pub(crate) fn forward_batch(
     let n = x.rows();
     let n_hidden = layers.len() - 1;
     scratch.acts.resize(n_hidden, Matrix::default());
-    let TrainScratch { logits, acts, .. } = scratch;
+    let TrainScratch {
+        logits,
+        acts,
+        panel,
+        ..
+    } = scratch;
     for (l, spec) in layers.iter().enumerate() {
         let (done, rest) = acts.split_at_mut(l.min(n_hidden));
         // lint:allow(P2) -- split_at_mut gives `done` exactly l entries here
@@ -159,6 +171,7 @@ pub(crate) fn forward_batch(
             n,
             spec.in_dim,
             spec.out_dim,
+            panel,
         );
         // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
         add_row_broadcast(out.as_mut_slice(), &flat[spec.b_range()]);
@@ -291,6 +304,7 @@ pub(crate) fn logits_one(flat: &[f64], layers: &[LayerSpec], features: &[f64]) -
     );
     let mut cur: Vec<f64> = Vec::new();
     let mut next: Vec<f64> = Vec::new();
+    let mut panel: Vec<f64> = Vec::new();
     for (l, spec) in layers.iter().enumerate() {
         let input: &[f64] = if l == 0 { features } else { &cur };
         next.clear();
@@ -303,6 +317,7 @@ pub(crate) fn logits_one(flat: &[f64], layers: &[LayerSpec], features: &[f64]) -
             1,
             spec.in_dim,
             spec.out_dim,
+            &mut panel,
         );
         // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
         axpy(&mut next, 1.0, &flat[spec.b_range()]);

@@ -506,9 +506,9 @@ impl Simulation {
                     while collusion.len() > cfg.num_malicious.max(1) {
                         collusion.pop_front();
                     }
-                    let known: Vec<Vector> = collusion.iter().cloned().collect();
-                    let crafted = attack.craft_all(&known, &mut attack_rng);
-                    crafted.last().cloned().unwrap_or(honest_delta)
+                    let mut crafted =
+                        attack.craft_all(collusion.make_contiguous(), &mut attack_rng);
+                    crafted.pop().unwrap_or(honest_delta)
                 } else {
                     honest_delta
                 };

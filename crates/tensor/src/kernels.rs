@@ -1,5 +1,6 @@
-//! Chunked reduction and GEMM kernels shared by [`crate::Vector`],
-//! [`crate::Matrix`] and the batched training path in `asyncfl-ml`.
+//! Chunked reduction, GEMM and optimizer kernels shared by
+//! [`crate::Vector`], [`crate::Matrix`] and the batched training path in
+//! `asyncfl-ml`.
 //!
 //! The naive `zip().map().sum()` reductions form one serial dependency
 //! chain of float additions, which LLVM must preserve (float addition is
@@ -13,23 +14,39 @@
 //! [`gemm_tn_acc`], [`add_row_broadcast`]) exist so callers that keep
 //! *flat* parameter storage (the `asyncfl-ml` models) can run whole
 //! minibatches as matrix products without materializing `Matrix` views.
-//! They are built from the same [`dot`]/[`axpy`] primitives, so batched
-//! and per-sample code paths produce bit-identical accumulations: every
-//! output element sees its per-sample contributions in the same order
-//! either way.
+//! Each is a register-blocked microkernel that keeps a per-element order
+//! contract: every output element sees exactly the operations, in exactly
+//! the order, of the per-sample primitive it batches:
+//!
+//! - a [`gemm_nt`] output is one [`dot`]: eight lane accumulators seeded
+//!   with `0.0`, a scalar tail, and the fixed `reduce` tree;
+//! - a [`gemm_nn`] output is `0.0` plus `a·b` terms in ascending reduction
+//!   index, the order of an ascending [`axpy`] sweep;
+//! - a [`gemm_tn_acc`] output is its incoming value plus `a·b` terms in
+//!   ascending sample order, the order of a per-sample `rank1_update` loop.
+//!
+//! Tiling changes only *which* outputs share a loaded chunk and *when*
+//! each is computed, never an output's operation sequence, so batched and
+//! per-sample code paths agree bit-for-bit. The optimizer kernels
+//! ([`adam_step`], [`sgd_momentum_step`]) are element-wise: each
+//! coordinate runs the same formula as the scalar loop it replaces.
 //!
 //! # SIMD-width dispatch
 //!
 //! The distance kernels (`dot`, `norm_squared`, `distance_squared`,
-//! `lerp_norm_squared`) additionally go through runtime ISA dispatch on
-//! x86-64: the portable `*_impl` body is compiled once per instruction-set
-//! level (baseline / AVX2 / AVX-512F) via `#[target_feature]` wrappers,
-//! and the level is detected once and cached. This changes *register
-//! width only* — the eight-lane accumulator layout and the fixed
-//! `reduce` tree are the same source code in every wrapper, and rustc
-//! emits no FMA contraction or reassociation, so every level produces
-//! bit-identical results (pinned by tests). Non-x86-64 targets compile
-//! the portable body directly.
+//! `lerp_norm_squared`), the three GEMMs and the two optimizer steps go
+//! through runtime ISA dispatch on x86-64: the portable `*_impl` body is
+//! compiled once per instruction-set level (baseline / AVX2 / AVX-512F)
+//! via `#[target_feature]` wrappers, and the level is detected once and
+//! cached. This changes *register width only* — the accumulator layout,
+//! the per-element operation order and the fixed `reduce` tree are the
+//! same source code in every wrapper, rustc emits no FMA contraction or
+//! reassociation, and IEEE division and square root are correctly rounded
+//! at every width, so every level produces bit-identical results (pinned
+//! by `to_bits` tests at every level the host supports). Non-x86-64
+//! targets compile the portable body directly. [`axpy`] and the tile
+//! helpers are `#[inline(always)]`, so they compile at their caller's
+//! level.
 
 /// Accumulator width. Eight `f64` lanes = two AVX2 registers / one
 /// AVX-512 register; also fine on NEON (four 2-wide registers).
@@ -68,7 +85,7 @@ fn dot_impl(a: &[f64], b: &[f64]) -> f64 {
 /// module docs on SIMD-width dispatch).
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    dispatch::dot(a, b)
+    dispatch::dot(dispatch::level(), a, b)
 }
 
 /// Portable body of [`norm_squared`].
@@ -91,7 +108,7 @@ fn norm_squared_impl(a: &[f64]) -> f64 {
 /// Squared ℓ2 norm `Σ aᵢ²`.
 #[inline]
 pub(crate) fn norm_squared(a: &[f64]) -> f64 {
-    dispatch::norm_squared(a)
+    dispatch::norm_squared(dispatch::level(), a)
 }
 
 /// Portable body of [`distance_squared`].
@@ -118,7 +135,7 @@ fn distance_squared_impl(a: &[f64], b: &[f64]) -> f64 {
 /// Fused squared ℓ2 distance `Σ (aᵢ − bᵢ)²` over equal-length slices.
 #[inline]
 pub(crate) fn distance_squared(a: &[f64], b: &[f64]) -> f64 {
-    dispatch::distance_squared(a, b)
+    dispatch::distance_squared(dispatch::level(), a, b)
 }
 
 /// Portable body of [`lerp_norm_squared`].
@@ -155,112 +172,7 @@ fn lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64 {
 /// `absorb` without re-reducing the estimate (DESIGN.md §10).
 #[inline]
 pub(crate) fn lerp_norm_squared(a: &mut [f64], b: &[f64], t: f64) -> f64 {
-    dispatch::lerp_norm_squared(a, b, t)
-}
-
-/// Runtime ISA dispatch for the distance kernels (x86-64): the portable
-/// `*_impl` bodies are recompiled per instruction-set level through
-/// `#[target_feature]` wrappers — wider registers, same source, same
-/// fixed reduction tree, bit-identical results. The `unsafe` here is
-/// exactly the `#[target_feature]` calling contract, discharged by the
-/// cached runtime detection; no pointers are touched.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod dispatch {
-    use super::{distance_squared_impl, dot_impl, lerp_norm_squared_impl, norm_squared_impl};
-    use std::sync::OnceLock;
-
-    /// Detected level, cached once per process: 0 = baseline (whatever
-    /// the target was compiled for), 1 = AVX2, 2 = AVX-512F.
-    fn level() -> u8 {
-        static LEVEL: OnceLock<u8> = OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            if is_x86_feature_detected!("avx512f") {
-                2
-            } else if is_x86_feature_detected!("avx2") {
-                1
-            } else {
-                0
-            }
-        })
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-        dot_impl(a, b)
-    }
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_avx512(a: &[f64], b: &[f64]) -> f64 {
-        dot_impl(a, b)
-    }
-    pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
-        match level() {
-            // SAFETY: level() verified the feature on this CPU.
-            2 => unsafe { dot_avx512(a, b) },
-            1 => unsafe { dot_avx2(a, b) },
-            _ => dot_impl(a, b),
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn norm_squared_avx2(a: &[f64]) -> f64 {
-        norm_squared_impl(a)
-    }
-    #[target_feature(enable = "avx512f")]
-    unsafe fn norm_squared_avx512(a: &[f64]) -> f64 {
-        norm_squared_impl(a)
-    }
-    pub(super) fn norm_squared(a: &[f64]) -> f64 {
-        match level() {
-            // SAFETY: level() verified the feature on this CPU.
-            2 => unsafe { norm_squared_avx512(a) },
-            1 => unsafe { norm_squared_avx2(a) },
-            _ => norm_squared_impl(a),
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn distance_squared_avx2(a: &[f64], b: &[f64]) -> f64 {
-        distance_squared_impl(a, b)
-    }
-    #[target_feature(enable = "avx512f")]
-    unsafe fn distance_squared_avx512(a: &[f64], b: &[f64]) -> f64 {
-        distance_squared_impl(a, b)
-    }
-    pub(super) fn distance_squared(a: &[f64], b: &[f64]) -> f64 {
-        match level() {
-            // SAFETY: level() verified the feature on this CPU.
-            2 => unsafe { distance_squared_avx512(a, b) },
-            1 => unsafe { distance_squared_avx2(a, b) },
-            _ => distance_squared_impl(a, b),
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn lerp_norm_squared_avx2(a: &mut [f64], b: &[f64], t: f64) -> f64 {
-        lerp_norm_squared_impl(a, b, t)
-    }
-    #[target_feature(enable = "avx512f")]
-    unsafe fn lerp_norm_squared_avx512(a: &mut [f64], b: &[f64], t: f64) -> f64 {
-        lerp_norm_squared_impl(a, b, t)
-    }
-    pub(super) fn lerp_norm_squared(a: &mut [f64], b: &[f64], t: f64) -> f64 {
-        match level() {
-            // SAFETY: level() verified the feature on this CPU.
-            2 => unsafe { lerp_norm_squared_avx512(a, b, t) },
-            1 => unsafe { lerp_norm_squared_avx2(a, b, t) },
-            _ => lerp_norm_squared_impl(a, b, t),
-        }
-    }
-}
-
-/// Non-x86-64 targets: the portable bodies *are* the dispatch.
-#[cfg(not(target_arch = "x86_64"))]
-mod dispatch {
-    pub(super) use super::distance_squared_impl as distance_squared;
-    pub(super) use super::dot_impl as dot;
-    pub(super) use super::lerp_norm_squared_impl as lerp_norm_squared;
-    pub(super) use super::norm_squared_impl as norm_squared;
+    dispatch::lerp_norm_squared(dispatch::level(), a, b, t)
 }
 
 /// Plain sum `Σ aᵢ`.
@@ -300,7 +212,8 @@ pub(crate) fn sum_abs(a: &[f64]) -> f64 {
 /// In-place `y ← y + α·x` over equal-length slices.
 ///
 /// Purely element-wise, so the result equals the scalar loop exactly.
-#[inline]
+/// `#[inline(always)]`, so it compiles at the ISA level of its caller.
+#[inline(always)]
 pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
     debug_assert_eq!(y.len(), x.len());
     let mut cy = y.chunks_exact_mut(LANES);
@@ -315,99 +228,291 @@ pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
     }
 }
 
-/// Reduction-dimension tile for the blocked GEMM loops below. 32 columns
-/// of `f64` per row block keeps four B-row panels (`GEMM_TILE_K` × 8 B)
-/// comfortably inside L1 alongside the A row and output tile.
-const GEMM_TILE_K: usize = 32;
+/// Copies the `N` values of `s` starting at `at` into a register-sized
+/// array: one bounds check per chunk instead of one per element.
+#[inline(always)]
+fn chunk<const N: usize>(s: &[f64], at: usize) -> [f64; N] {
+    let mut v = [0.0; N];
+    v.copy_from_slice(&s[at..at + N]);
+    v
+}
 
-/// Four dot products sharing one traversal of `a`: registers hold four
-/// accumulator blocks while `a` streams through once, quartering the
-/// `a`-side memory traffic of four [`dot`] calls. Each of the four results
-/// accumulates in *exactly* [`dot`]'s lane-and-tail order, so every output
-/// is bit-identical to the corresponding standalone `dot(a, bX)` call.
-#[inline]
-fn dot4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
-    debug_assert!(
-        a.len() == b0.len() && a.len() == b1.len() && a.len() == b2.len() && a.len() == b3.len()
-    );
-    let mut acc = [[0.0_f64; LANES]; 4];
-    let blocks = a.len() / LANES * LANES;
-    let mut base = 0;
-    while base < blocks {
-        for l in 0..LANES {
-            let x = a[base + l];
-            acc[0][l] += x * b0[base + l];
-            acc[1][l] += x * b1[base + l];
-            acc[2][l] += x * b2[base + l];
-            acc[3][l] += x * b3[base + l];
+/// Rows of `A` (and of `out`) per [`gemm_nt`] tile.
+const NT_ROWS: usize = 4;
+/// Rows of `B` (columns of `out`) per [`gemm_nt`] column block: one
+/// vector of output columns.
+const NT_COLS: usize = 8;
+/// Deepest reduction whose `Bᵀ` block [`gemm_nt`] keeps on the stack
+/// (`NT_COLS × NT_STACK_K` values, 4 KiB). Every model in the workspace
+/// is narrower; a deeper one uses the caller's panel.
+const NT_STACK_K: usize = 64;
+
+/// Element-wise sum of two `R × NT_COLS` register tiles.
+#[inline(always)]
+fn add_tiles<const R: usize>(
+    mut x: [[f64; NT_COLS]; R],
+    y: [[f64; NT_COLS]; R],
+) -> [[f64; NT_COLS]; R] {
+    for (xr, yr) in x.iter_mut().zip(&y) {
+        for c in 0..NT_COLS {
+            xr[c] += yr[c];
         }
-        base += LANES;
     }
-    let mut tail = [0.0_f64; 4];
-    for i in blocks..a.len() {
-        let x = a[i];
-        tail[0] += x * b0[i];
-        tail[1] += x * b1[i];
-        tail[2] += x * b2[i];
-        tail[3] += x * b3[i];
+    x
+}
+
+/// The operands of one [`gemm_nt`] tile: `A` with row stride `k`, the
+/// tile's first row `i0`, and one column block of `Bᵀ` (`k` rows of
+/// [`NT_COLS`] values).
+#[derive(Clone, Copy)]
+struct NtTile<'a> {
+    a: &'a [f64],
+    bt: &'a [f64],
+    k: usize,
+    i0: usize,
+}
+
+/// Lanes `l` and `l + 4` of [`dot`]'s accumulators for the whole
+/// `R × NT_COLS` tile, summed: `Σ A[i0 + r][kk] · Bᵀ[kk][c]` over
+/// `kk ≡ l (mod 8)` and over `kk ≡ l + 4 (mod 8)` below `blocks`, each
+/// seeded with `0.0` and accumulated in ascending chunk order, then
+/// added as `reduce`'s first level adds them. One loop carries both
+/// lanes, so `2·R` independent add chains overlap.
+#[inline(always)]
+fn nt_lane_pair<const R: usize>(t: NtTile<'_>, l: usize, blocks: usize) -> [[f64; NT_COLS]; R] {
+    let a = &t.a[t.i0 * t.k..(t.i0 + R) * t.k];
+    let mut lo = [[0.0_f64; NT_COLS]; R];
+    let mut hi = [[0.0_f64; NT_COLS]; R];
+    let mut at = 0;
+    while at < blocks {
+        let (kl, kh) = (at + l, at + l + LANES / 2);
+        let bl: [f64; NT_COLS] = chunk(t.bt, kl * NT_COLS);
+        let bh: [f64; NT_COLS] = chunk(t.bt, kh * NT_COLS);
+        for r in 0..R {
+            let (xl, xh) = (a[r * t.k + kl], a[r * t.k + kh]);
+            for c in 0..NT_COLS {
+                lo[r][c] += xl * bl[c];
+                hi[r][c] += xh * bh[c];
+            }
+        }
+        at += LANES;
     }
-    [
-        reduce(acc[0], tail[0]),
-        reduce(acc[1], tail[1]),
-        reduce(acc[2], tail[2]),
-        reduce(acc[3], tail[3]),
-    ]
+    add_tiles(lo, hi)
+}
+
+/// [`dot`]'s scalar tail for the whole tile: `Σ A[i0 + r][kk] ·
+/// Bᵀ[kk][c]` over `kk` in `blocks..k` ascending, seeded with `0.0`.
+#[inline(always)]
+fn nt_tail<const R: usize>(t: NtTile<'_>, blocks: usize) -> [[f64; NT_COLS]; R] {
+    let a = &t.a[t.i0 * t.k..(t.i0 + R) * t.k];
+    let mut acc = [[0.0_f64; NT_COLS]; R];
+    for kk in blocks..t.k {
+        let b: [f64; NT_COLS] = chunk(t.bt, kk * NT_COLS);
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let x = a[r * t.k + kk];
+            for c in 0..NT_COLS {
+                acc_r[c] += x * b[c];
+            }
+        }
+    }
+    acc
+}
+
+/// One `R × NT_COLS` tile of [`gemm_nt`], with lanes in registers over a
+/// `Bᵀ` column block: for every output, the lane pairs and tail are
+/// exactly [`dot`]'s eight lane accumulators and tail, and they fold
+/// through [`reduce`]'s tree, spelled out here on whole tiles. Writes the
+/// first `cols` columns of each row to `out` (row stride `n`) from
+/// column `j0`.
+#[inline(always)]
+fn nt_tile<const R: usize>(out: &mut [f64], (n, j0, cols): (usize, usize, usize), t: NtTile<'_>) {
+    let blocks = t.k - t.k % LANES;
+    let s0 = add_tiles(
+        nt_lane_pair::<R>(t, 0, blocks),
+        nt_lane_pair::<R>(t, 1, blocks),
+    );
+    let s1 = add_tiles(
+        nt_lane_pair::<R>(t, 2, blocks),
+        nt_lane_pair::<R>(t, 3, blocks),
+    );
+    let sums = add_tiles(add_tiles(s0, s1), nt_tail::<R>(t, blocks));
+    for (r, sum) in sums.iter().enumerate() {
+        out[(t.i0 + r) * n + j0..][..cols].copy_from_slice(&sum[..cols]);
+    }
+}
+
+/// Portable body of [`gemm_nt`]. For each block of [`NT_COLS`] rows of
+/// `B`, packs their transpose into `bt` (at least `k·NT_COLS` long; a
+/// short last block leaves stale columns whose outputs are dropped),
+/// then runs every row tile of `A` over it.
+#[inline(always)]
+fn gemm_nt_impl(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    bt: &mut [f64],
+    (m, k, n): (usize, usize, usize),
+) {
+    for j0 in (0..n).step_by(NT_COLS) {
+        let cols = NT_COLS.min(n - j0);
+        for (c, row) in b[j0 * k..(j0 + cols) * k]
+            .chunks_exact(k.max(1))
+            .enumerate()
+        {
+            for (kk, &v) in row.iter().enumerate() {
+                bt[kk * NT_COLS + c] = v;
+            }
+        }
+        let mut i0 = 0;
+        while i0 + NT_ROWS <= m {
+            nt_tile::<NT_ROWS>(out, (n, j0, cols), NtTile { a, bt, k, i0 });
+            i0 += NT_ROWS;
+        }
+        while i0 < m {
+            nt_tile::<1>(out, (n, j0, cols), NtTile { a, bt, k, i0 });
+            i0 += 1;
+        }
+    }
 }
 
 /// GEMM (no-transpose × transpose): `out ← A·Bᵀ` where `A` is `m×k`,
 /// `B` is `n×k` and `out` is `m×n`, all row-major.
 ///
-/// Every output element is one [`dot`] of a row of `A` with a row of `B` —
-/// the cache-friendly orientation for row-major storage, and bit-identical
-/// to the per-sample `matvec` it batches. Output columns are processed
-/// four at a time through `dot4`, which streams the `A` row through the
-/// cache once per four `B` rows instead of once per row; `dot4` preserves
-/// `dot`'s exact per-element accumulation order, so blocking changes only
-/// *when* each output is computed, never its bits.
+/// Every output element is one [`dot`] of a row of `A` with a row of `B`,
+/// bit for bit — the per-sample `matvec` it batches. Outputs are
+/// computed in 4 × 8 register tiles with lanes over the columns of a
+/// transposed block of eight `B` rows, so each loaded block row feeds
+/// four rows of `A` and [`dot`]'s final tree is eight vector adds per
+/// tile instead of a horizontal sum per output. The block lives on the
+/// stack up to `k = 64`; beyond that it lives in `panel`, which keeps its
+/// capacity, so a caller that reuses it allocates nothing once warm.
 ///
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the given shape.
-pub fn gemm_nt(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+pub fn gemm_nt(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut Vec<f64>,
+) {
     assert_eq!(a.len(), m * k, "gemm_nt: A is not {m}x{k}");
     assert_eq!(b.len(), n * k, "gemm_nt: B is not {n}x{k}");
     assert_eq!(out.len(), m * n, "gemm_nt: out is not {m}x{n}");
-    for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate().take(m) {
-        let a_row = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 4 <= n {
-            let d = dot4(
-                a_row,
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
-            );
-            out_row[j..j + 4].copy_from_slice(&d);
-            j += 4;
-        }
-        while j < n {
-            out_row[j] = dot(a_row, &b[j * k..(j + 1) * k]);
-            j += 1;
+    let mut stack = [0.0; NT_COLS * NT_STACK_K];
+    let bt = if k <= NT_STACK_K {
+        &mut stack[..]
+    } else {
+        panel.resize(NT_COLS * k, 0.0);
+        panel.as_mut_slice()
+    };
+    dispatch::gemm_nt(dispatch::level(), out, a, b, bt, (m, k, n));
+}
+
+/// Rows of `out` per [`gemm_nn`] / [`gemm_tn_acc`] tile.
+const ACC_ROWS: usize = 4;
+/// Columns of `out` per [`gemm_nn`] / [`gemm_tn_acc`] tile: two AVX-512
+/// registers a row. Remaining columns go in tiles half as wide, then one
+/// at a time.
+const ACC_COLS: usize = 16;
+
+/// A sum of scaled `B` rows into the rows of `out` (row stride `n`), the
+/// shared shape of [`gemm_nn`] and [`gemm_tn_acc`]: for each reduction
+/// step `s` in ascending order, output row `r` gains
+/// `x[s·x_step + r·x_row] · B.row(s)`.
+#[derive(Clone, Copy)]
+struct RowSweep<'a> {
+    x: &'a [f64],
+    x_step: usize,
+    x_row: usize,
+    b: &'a [f64],
+    n: usize,
+    steps: usize,
+}
+
+/// One `R × C` tile of a [`RowSweep`] at `out[row0.., col0..]`, held in
+/// registers across the whole ascending reduction: each output is seeded
+/// from `out` and gains `x·b` once per step, the operation sequence of one
+/// [`axpy`] per step.
+#[inline(always)]
+fn sweep_tile<const R: usize, const C: usize>(
+    out: &mut [f64],
+    p: RowSweep<'_>,
+    (row0, col0): (usize, usize),
+) {
+    let mut acc: [[f64; C]; R] = std::array::from_fn(|r| chunk(out, (row0 + r) * p.n + col0));
+    for s in 0..p.steps {
+        let b: [f64; C] = chunk(p.b, s * p.n + col0);
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let x = p.x[s * p.x_step + (row0 + r) * p.x_row];
+            for c in 0..C {
+                acc_r[c] += x * b[c];
+            }
         }
     }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[(row0 + r) * p.n + col0..][..C].copy_from_slice(acc_r);
+    }
+}
+
+/// All of `out`'s columns for the `R` rows starting at `row0`.
+#[inline(always)]
+fn sweep_rows<const R: usize>(out: &mut [f64], p: RowSweep<'_>, row0: usize) {
+    let mut c = 0;
+    while c + ACC_COLS <= p.n {
+        sweep_tile::<R, ACC_COLS>(out, p, (row0, c));
+        c += ACC_COLS;
+    }
+    while c + ACC_COLS / 2 <= p.n {
+        sweep_tile::<R, { ACC_COLS / 2 }>(out, p, (row0, c));
+        c += ACC_COLS / 2;
+    }
+    while c < p.n {
+        sweep_tile::<R, 1>(out, p, (row0, c));
+        c += 1;
+    }
+}
+
+/// Runs a [`RowSweep`] over all `rows` rows of `out`.
+#[inline(always)]
+fn sweep(out: &mut [f64], p: RowSweep<'_>, rows: usize) {
+    let mut r = 0;
+    while r + ACC_ROWS <= rows {
+        sweep_rows::<ACC_ROWS>(out, p, r);
+        r += ACC_ROWS;
+    }
+    while r < rows {
+        sweep_rows::<1>(out, p, r);
+        r += 1;
+    }
+}
+
+/// Portable body of [`gemm_nn`].
+#[inline(always)]
+fn gemm_nn_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    out.fill(0.0);
+    let p = RowSweep {
+        x: a,
+        x_step: 1,
+        x_row: k,
+        b,
+        n,
+        steps: k,
+    };
+    sweep(out, p, m);
 }
 
 /// GEMM (no-transpose × no-transpose): `out ← A·B` where `A` is `m×k`,
 /// `B` is `k×n` and `out` is `m×n`, all row-major.
 ///
-/// Each output row is accumulated as `Σⱼ A[i][j]·B.row(j)` via [`axpy`],
-/// so per-element additions happen in ascending `j` order — the same
-/// order as the transposed mat-vec loop it batches. The `j` loop is tiled
-/// in `GEMM_TILE_K`-row blocks of `B` with the row loop inside, so each
-/// `B` panel stays cache-resident across all `m` output rows; for a fixed
-/// output row the blocks still arrive in ascending `j` order, so the
-/// accumulation order (and hence every bit) is unchanged.
+/// Each output element is `0.0` plus `A[i][j]·B[j][c]` for `j` ascending —
+/// the order of a zero fill and one [`axpy`] of `B.row(j)` per `j`, and of
+/// the transposed mat-vec loop it batches. Outputs are held in 4 × 16
+/// register tiles across the whole `j` loop, so each output is loaded and
+/// stored once.
 ///
 /// # Panics
 ///
@@ -416,30 +521,32 @@ pub fn gemm_nn(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "gemm_nn: A is not {m}x{k}");
     assert_eq!(b.len(), k * n, "gemm_nn: B is not {k}x{n}");
     assert_eq!(out.len(), m * n, "gemm_nn: out is not {m}x{n}");
-    out.fill(0.0);
-    let mut j0 = 0;
-    while j0 < k {
-        let j1 = (j0 + GEMM_TILE_K).min(k);
-        for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate().take(m) {
-            for j in j0..j1 {
-                axpy(out_row, a[i * k + j], &b[j * n..(j + 1) * n]);
-            }
-        }
-        j0 = j1;
-    }
+    dispatch::gemm_nn(dispatch::level(), out, a, b, m, k, n);
+}
+
+/// Portable body of [`gemm_tn_acc`].
+#[inline(always)]
+fn gemm_tn_acc_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    let p = RowSweep {
+        x: a,
+        x_step: k,
+        x_row: 1,
+        b,
+        n,
+        steps: m,
+    };
+    sweep(out, p, k);
 }
 
 /// Accumulating GEMM (transpose × no-transpose): `out += Aᵀ·B` where `A`
 /// is `m×k`, `B` is `m×n` and `out` is `k×n`, all row-major.
 ///
 /// This is batched rank-1 accumulation — the gradient of a linear layer
-/// over a minibatch (`∂L/∂W += δᵀ·inputs`). Samples (rows of `A`/`B`) are
-/// walked in order, so each output element sees its per-sample
-/// contributions in exactly the order a per-sample `rank1_update` loop
-/// would produce. The output rows are tiled in `GEMM_TILE_K`-row blocks
-/// with the sample loop inside, so each output panel stays cache-resident
-/// across the whole minibatch; within one output element the sample order
-/// is still ascending `i`, so the accumulated bits are unchanged.
+/// over a minibatch (`∂L/∂W += δᵀ·inputs`). Each output element is its
+/// incoming value plus `A[i][j]·B[i][c]` for samples `i` in ascending
+/// order, exactly what a per-sample `rank1_update` loop produces. Outputs
+/// are held in 4 × 16 register tiles, seeded from `out`, across the whole
+/// sample loop.
 ///
 /// # Panics
 ///
@@ -448,17 +555,7 @@ pub fn gemm_tn_acc(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n:
     assert_eq!(a.len(), m * k, "gemm_tn_acc: A is not {m}x{k}");
     assert_eq!(b.len(), m * n, "gemm_tn_acc: B is not {m}x{n}");
     assert_eq!(out.len(), k * n, "gemm_tn_acc: out is not {k}x{n}");
-    let mut j0 = 0;
-    while j0 < k {
-        let j1 = (j0 + GEMM_TILE_K).min(k);
-        for i in 0..m {
-            let b_row = &b[i * n..(i + 1) * n];
-            for j in j0..j1 {
-                axpy(&mut out[j * n..(j + 1) * n], a[i * k + j], b_row);
-            }
-        }
-        j0 = j1;
-    }
+    dispatch::gemm_tn_acc(dispatch::level(), out, a, b, m, k, n);
 }
 
 /// Row-broadcast addition: adds `bias` to every `bias.len()`-wide row of
@@ -480,6 +577,187 @@ pub fn add_row_broadcast(out: &mut [f64], bias: &[f64]) {
     );
     for row in out.chunks_exact_mut(bias.len()) {
         axpy(row, 1.0, bias);
+    }
+}
+
+/// The scalars of one Adam step (Kingma & Ba 2015): learning rate, moment
+/// coefficients, `ε`, and the step's bias corrections `1 − βᵗ`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep {
+    /// Learning rate.
+    pub lr: f64,
+    /// First-moment coefficient β₁.
+    pub beta1: f64,
+    /// Second-moment coefficient β₂.
+    pub beta2: f64,
+    /// Denominator guard ε.
+    pub eps: f64,
+    /// First-moment bias correction `1 − β₁ᵗ`.
+    pub bias1: f64,
+    /// Second-moment bias correction `1 − β₂ᵗ`.
+    pub bias2: f64,
+}
+
+/// Portable body of [`adam_step`].
+#[inline(always)]
+fn adam_step_impl(params: &mut [f64], m: &mut [f64], v: &mut [f64], grad: &[f64], c: AdamStep) {
+    // `m` moves toward `g` at rate `1 − β₁` with `Vector::lerp`'s formula.
+    let rate = 1.0 - c.beta1;
+    let keep = 1.0 - rate;
+    let fresh = 1.0 - c.beta2;
+    for (((p, mi), vi), &g) in params.iter_mut().zip(m).zip(v).zip(grad) {
+        *mi = keep * *mi + rate * g;
+        *vi = c.beta2 * *vi + fresh * g * g;
+        let m_hat = *mi / c.bias1;
+        let v_hat = *vi / c.bias2;
+        *p -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+    }
+}
+
+/// One Adam update over flat slices, element-wise:
+/// `m ← (1 − r)·m + r·g` with `r = 1 − β₁`, `v ← β₂·v + (1 − β₂)·g·g`, and
+/// `p ← p − lr·(m / bias1) / (√(v / bias2) + ε)`.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+pub fn adam_step(params: &mut [f64], m: &mut [f64], v: &mut [f64], grad: &[f64], step: AdamStep) {
+    let dim = params.len();
+    assert!(
+        m.len() == dim && v.len() == dim && grad.len() == dim,
+        "adam_step: params {dim}, m {}, v {}, grad {} differ",
+        m.len(),
+        v.len(),
+        grad.len()
+    );
+    dispatch::adam_step(dispatch::level(), params, m, v, grad, step);
+}
+
+/// Portable body of [`sgd_momentum_step`].
+#[inline(always)]
+fn sgd_momentum_step_impl(
+    params: &mut [f64],
+    velocity: &mut [f64],
+    grad: &[f64],
+    lr: f64,
+    momentum: f64,
+) {
+    for ((p, v), &g) in params.iter_mut().zip(velocity).zip(grad) {
+        *v *= momentum;
+        *v += 1.0 * g;
+        *p += -lr * *v;
+    }
+}
+
+/// One SGD-with-momentum update over flat slices, element-wise:
+/// `v ← μ·v; v ← v + 1·g; p ← p + (−lr)·v`, the sequence of a `scale`
+/// and two [`axpy`] sweeps.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length.
+pub fn sgd_momentum_step(
+    params: &mut [f64],
+    velocity: &mut [f64],
+    grad: &[f64],
+    lr: f64,
+    momentum: f64,
+) {
+    let dim = params.len();
+    assert!(
+        velocity.len() == dim && grad.len() == dim,
+        "sgd_momentum_step: params {dim}, velocity {}, grad {} differ",
+        velocity.len(),
+        grad.len()
+    );
+    dispatch::sgd_momentum_step(dispatch::level(), params, velocity, grad, lr, momentum);
+}
+
+/// Runtime ISA dispatch: each kernel's portable `*_impl` body recompiled
+/// per instruction-set level through `#[target_feature]` wrappers — wider
+/// registers, same source, same per-element operation order,
+/// bit-identical results. Every entry takes the level to run at, clamped
+/// to [`level`], so tests can run each body at every level the host
+/// supports. The `unsafe` here is exactly the `#[target_feature]` calling
+/// contract, discharged by the cached runtime detection; no pointers are
+/// touched.
+#[allow(unsafe_code)]
+mod dispatch {
+    use super::*;
+
+    /// Detected level, cached once per process: 0 = baseline (whatever
+    /// the target was compiled for), 1 = AVX2, 2 = AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn level() -> u8 {
+        static LEVEL: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
+        *LEVEL.get_or_init(|| {
+            if is_x86_feature_detected!("avx512f") {
+                2
+            } else if is_x86_feature_detected!("avx2") {
+                1
+            } else {
+                0
+            }
+        })
+    }
+
+    /// Non-x86-64 targets: the portable bodies *are* the dispatch.
+    #[cfg(not(target_arch = "x86_64"))]
+    pub(super) fn level() -> u8 {
+        0
+    }
+
+    /// `name(level, args…)` runs `body(args…)` compiled for
+    /// `min(level, level())`.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! dispatched {
+        ($($name:ident => $body:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+            pub(super) fn $name(level: u8, $($arg: $ty),*) $(-> $ret)? {
+                /// # Safety
+                ///
+                /// The CPU must support AVX2.
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                /// # Safety
+                ///
+                /// The CPU must support AVX-512F.
+                #[target_feature(enable = "avx512f")]
+                unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                // Clamped to the detected level, so any `level` is safe.
+                match level.min(self::level()) {
+                    // SAFETY: level() detected AVX-512F on this CPU.
+                    2 => unsafe { avx512($($arg),*) },
+                    // SAFETY: level() detected AVX2 on this CPU.
+                    1 => unsafe { avx2($($arg),*) },
+                    _ => $body($($arg),*),
+                }
+            }
+        )*};
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    macro_rules! dispatched {
+        ($($name:ident => $body:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+            pub(super) fn $name(_level: u8, $($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+        )*};
+    }
+
+    dispatched! {
+        dot => dot_impl(a: &[f64], b: &[f64]) -> f64;
+        norm_squared => norm_squared_impl(a: &[f64]) -> f64;
+        distance_squared => distance_squared_impl(a: &[f64], b: &[f64]) -> f64;
+        lerp_norm_squared => lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64;
+        gemm_nt => gemm_nt_impl(out: &mut [f64], a: &[f64], b: &[f64], bt: &mut [f64], shape: (usize, usize, usize));
+        gemm_nn => gemm_nn_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize);
+        gemm_tn_acc => gemm_tn_acc_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize);
+        adam_step => adam_step_impl(params: &mut [f64], m: &mut [f64], v: &mut [f64], grad: &[f64], step: AdamStep);
+        sgd_momentum_step => sgd_momentum_step_impl(params: &mut [f64], velocity: &mut [f64], grad: &[f64], lr: f64, momentum: f64);
     }
 }
 
@@ -569,31 +847,222 @@ mod tests {
         }
     }
 
+    /// ISA levels to check: every level up to the one the host runs.
+    fn levels() -> std::ops::RangeInclusive<u8> {
+        0..=dispatch::level()
+    }
+
+    /// Bit equality, except that any two NaNs match: NaN payloads may
+    /// legitimately differ between operand orders of one commutative op.
+    fn same_bits(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                same_bits(g, w),
+                "{what} @{i}: got {g:e} ({g:?}), want {w:e} ({w:?})"
+            );
+        }
+    }
+
+    /// Test data with every awkward value class: ±0, subnormals, and —
+    /// when `infinite` — ±inf, mixed into ordinary magnitudes.
+    fn special_data(n: usize, seed: f64, infinite: bool) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 11 {
+                3 => 0.0,
+                5 => -0.0,
+                7 => f64::MIN_POSITIVE / 3.0 * if i % 2 == 0 { 1.0 } else { -1.0 },
+                9 if infinite && i % 3 == 0 => f64::INFINITY,
+                9 if infinite => f64::NEG_INFINITY,
+                _ => ((i as f64 + seed) * 0.37).sin() * (1.0 + seed),
+            })
+            .collect()
+    }
+
     #[test]
     fn simd_dispatch_is_bit_identical_to_portable_bodies() {
-        // The public entry points run whatever ISA level the host
-        // supports; the `*_impl` calls are the baseline bodies. Wider
-        // registers may only change speed, never a single bit.
+        // The `*_impl` calls are the baseline bodies; every level the
+        // host supports runs through `dispatch`. Wider registers may only
+        // change speed, never a single bit.
         for n in [0usize, 1, 7, 8, 9, 16, 63, 64, 65, 330, 1001] {
             let (a, b) = data(n);
-            assert_eq!(dot(&a, &b).to_bits(), dot_impl(&a, &b).to_bits(), "n={n}");
-            assert_eq!(
-                norm_squared(&a).to_bits(),
-                norm_squared_impl(&a).to_bits(),
-                "n={n}"
-            );
-            assert_eq!(
-                distance_squared(&a, &b).to_bits(),
-                distance_squared_impl(&a, &b).to_bits(),
-                "n={n}"
-            );
-            let mut fast = a.clone();
-            let mut slow = a.clone();
-            let fast_n = lerp_norm_squared(&mut fast, &b, 0.2);
-            let slow_n = lerp_norm_squared_impl(&mut slow, &b, 0.2);
-            assert_eq!(fast_n.to_bits(), slow_n.to_bits(), "n={n}");
-            for (x, y) in fast.iter().zip(&slow) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
+            for level in levels() {
+                let at = format!("n={n} level={level}");
+                assert_eq!(
+                    dispatch::dot(level, &a, &b).to_bits(),
+                    dot_impl(&a, &b).to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    dispatch::norm_squared(level, &a).to_bits(),
+                    norm_squared_impl(&a).to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    dispatch::distance_squared(level, &a, &b).to_bits(),
+                    distance_squared_impl(&a, &b).to_bits(),
+                    "{at}"
+                );
+                let mut fast = a.clone();
+                let mut slow = a.clone();
+                let fast_n = dispatch::lerp_norm_squared(level, &mut fast, &b, 0.2);
+                let slow_n = lerp_norm_squared_impl(&mut slow, &b, 0.2);
+                assert_eq!(fast_n.to_bits(), slow_n.to_bits(), "{at}");
+                assert_same_bits(&fast, &slow, &at);
+            }
+        }
+    }
+
+    /// The retired `gemm_nt` loop: one [`dot`] per output element.
+    fn retired_gemm_nt(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for j in 0..n {
+                out[i * n + j] = dot_impl(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// The retired `gemm_nn` loop: a zero fill, then one [`axpy`] of
+    /// `B.row(j)` per `A[i][j]`, `j` ascending.
+    fn retired_gemm_nn(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        out.fill(0.0);
+        for i in 0..m {
+            for j in 0..k {
+                axpy(
+                    &mut out[i * n..(i + 1) * n],
+                    a[i * k + j],
+                    &b[j * n..(j + 1) * n],
+                );
+            }
+        }
+    }
+
+    /// The retired `gemm_tn_acc` loop: per sample, ascending, one [`axpy`]
+    /// of `B.row(i)` into each output row.
+    fn retired_gemm_tn_acc(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for j in 0..k {
+                axpy(
+                    &mut out[j * n..(j + 1) * n],
+                    a[i * k + j],
+                    &b[i * n..(i + 1) * n],
+                );
+            }
+        }
+    }
+
+    /// Every GEMM microkernel at every ISA level against its retired
+    /// loop, `to_bits`, on shapes straddling every tile edge (4-row tiles,
+    /// 16-, 8- and 1-column tiles, 8-lane chunks and their tails, and the
+    /// stack block's depth), with ±0, subnormal and ±inf inputs and a
+    /// nonzero `gemm_tn_acc` seed.
+    #[test]
+    fn gemm_microkernels_are_bit_identical_to_retired_loops_at_every_level() {
+        let mut panel = Vec::new();
+        for m in [1usize, 4, 64] {
+            for k in [1usize, 7, 8, 9, 32, 48, NT_STACK_K + 7] {
+                for n in [1usize, 3, 4, 5, 10, 25, 32] {
+                    for infinite in [false, true] {
+                        let shape = format!("{m}x{k}x{n} inf={infinite}");
+                        let a = special_data(m * k, 0.5, infinite);
+                        let b_nk = special_data(n * k, 1.5, infinite);
+                        let b_mn = special_data(m * n, 2.5, infinite);
+                        let seed = special_data(k * n, 3.5, infinite);
+
+                        let mut nt_want = vec![0.0; m * n];
+                        retired_gemm_nt(&mut nt_want, &a, &b_nk, m, k, n);
+                        let mut nn_want = vec![0.0; m * n];
+                        retired_gemm_nn(&mut nn_want, &a, &b_nk, m, k, n);
+                        let mut tn_want = seed.clone();
+                        retired_gemm_tn_acc(&mut tn_want, &a, &b_mn, m, k, n);
+
+                        let mut nt = vec![f64::NAN; m * n];
+                        gemm_nt(&mut nt, &a, &b_nk, m, k, n, &mut panel);
+                        assert_same_bits(&nt, &nt_want, &format!("gemm_nt {shape}"));
+                        for level in levels() {
+                            let at = format!("{shape} level={level}");
+                            let mut nt = vec![f64::NAN; m * n];
+                            let mut bt = vec![f64::NAN; NT_COLS * k];
+                            dispatch::gemm_nt(level, &mut nt, &a, &b_nk, &mut bt, (m, k, n));
+                            assert_same_bits(&nt, &nt_want, &format!("gemm_nt {at}"));
+
+                            let mut nn = vec![f64::NAN; m * n];
+                            dispatch::gemm_nn(level, &mut nn, &a, &b_nk, m, k, n);
+                            assert_same_bits(&nn, &nn_want, &format!("gemm_nn {at}"));
+
+                            let mut tn = seed.clone();
+                            dispatch::gemm_tn_acc(level, &mut tn, &a, &b_mn, m, k, n);
+                            assert_same_bits(&tn, &tn_want, &format!("gemm_tn_acc {at}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The retired `Adam::step` loops: `Vector::lerp` of the first
+    /// moment, the second-moment loop, then the parameter loop.
+    fn retired_adam(p: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64], c: AdamStep) {
+        let t = 1.0 - c.beta1;
+        for (mi, gi) in m.iter_mut().zip(g) {
+            *mi = (1.0 - t) * *mi + t * gi;
+        }
+        for (vi, gi) in v.iter_mut().zip(g) {
+            *vi = c.beta2 * *vi + (1.0 - c.beta2) * gi * gi;
+        }
+        for ((pi, &mi), &vi) in p.iter_mut().zip(m.iter()).zip(v.iter()) {
+            let m_hat = mi / c.bias1;
+            let v_hat = vi / c.bias2;
+            *pi -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+        }
+    }
+
+    /// The retired `Sgd::step` momentum sweeps: `scale`, then two `axpy`.
+    fn retired_sgd(p: &mut [f64], vel: &mut [f64], g: &[f64], lr: f64, mu: f64) {
+        for vi in vel.iter_mut() {
+            *vi *= mu;
+        }
+        axpy(vel, 1.0, g);
+        axpy(p, -lr, vel);
+    }
+
+    /// Fifty optimizer steps per ISA level, kernel against the retired
+    /// scalar loops, every parameter and state value compared `to_bits`.
+    #[test]
+    fn optimizer_kernels_are_bit_identical_to_retired_loops_at_every_level() {
+        for dim in [1usize, 7, 8, 9, 33, 1898] {
+            for level in levels() {
+                let at = format!("dim={dim} level={level}");
+                let start = special_data(dim, 0.25, false);
+                let (mut p, mut m, mut v) = (start.clone(), vec![0.0; dim], vec![0.0; dim]);
+                let (mut p_want, mut m_want, mut v_want) = (p.clone(), m.clone(), v.clone());
+                let (mut q, mut vel) = (start.clone(), vec![0.0; dim]);
+                let (mut q_want, mut vel_want) = (q.clone(), vel.clone());
+                for t in 1..=50 {
+                    let g = special_data(dim, t as f64, false);
+                    let (beta1, beta2) = (0.9_f64, 0.999_f64);
+                    let step = AdamStep {
+                        lr: 0.01,
+                        beta1,
+                        beta2,
+                        eps: 1e-8,
+                        bias1: 1.0 - beta1.powi(t),
+                        bias2: 1.0 - beta2.powi(t),
+                    };
+                    dispatch::adam_step(level, &mut p, &mut m, &mut v, &g, step);
+                    retired_adam(&mut p_want, &mut m_want, &mut v_want, &g, step);
+                    dispatch::sgd_momentum_step(level, &mut q, &mut vel, &g, 0.05, 0.9);
+                    retired_sgd(&mut q_want, &mut vel_want, &g, 0.05, 0.9);
+                }
+                assert_same_bits(&p, &p_want, &format!("adam params {at}"));
+                assert_same_bits(&m, &m_want, &format!("adam m {at}"));
+                assert_same_bits(&v, &v_want, &format!("adam v {at}"));
+                assert_same_bits(&q, &q_want, &format!("sgd params {at}"));
+                assert_same_bits(&vel, &vel_want, &format!("sgd velocity {at}"));
             }
         }
     }
@@ -657,7 +1126,7 @@ mod tests {
             let mut nn = vec![0.0; m * n];
             gemm_nn(&mut nn, &a, &b, m, k, n);
             let mut nt = vec![0.0; m * n];
-            gemm_nt(&mut nt, &a, &transpose(&b, k, n), m, k, n);
+            gemm_nt(&mut nt, &a, &transpose(&b, k, n), m, k, n, &mut Vec::new());
             let mut tn = vec![0.0; m * n];
             gemm_tn_acc(&mut tn, &transpose(&a, m, k), &b, k, m, n);
             for i in 0..m * n {
@@ -688,93 +1157,8 @@ mod tests {
         let a: Vec<f64> = (0..23).map(|i| (i as f64 * 0.7).sin()).collect();
         let b: Vec<f64> = (0..23).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut out = [0.0];
-        gemm_nt(&mut out, &a, &b, 1, 23, 1);
+        gemm_nt(&mut out, &a, &b, 1, 23, 1, &mut Vec::new());
         assert_eq!(out[0].to_bits(), dot(&a, &b).to_bits());
-    }
-
-    #[test]
-    fn dot4_matches_dot_bitwise() {
-        for len in [0usize, 1, 3, 8, 9, 16, 70, 257] {
-            let (a, b0) = data(len);
-            let b1: Vec<f64> = b0.iter().map(|x| x * 1.5 - 0.25).collect();
-            let b2: Vec<f64> = b0.iter().map(|x| -x * 0.75).collect();
-            let b3: Vec<f64> = b0.iter().map(|x| x + 0.125).collect();
-            let got = dot4(&a, &b0, &b1, &b2, &b3);
-            for (g, b) in got.iter().zip([&b0, &b1, &b2, &b3]) {
-                assert_eq!(g.to_bits(), dot(&a, b).to_bits(), "len={len}");
-            }
-        }
-    }
-
-    /// The tiled/blocked GEMMs must be bit-identical to the untiled loops
-    /// they replaced — blocking may only reorder which output element is
-    /// computed when, never the accumulation order within one element.
-    /// Shapes straddle both blocking factors (4-wide dot4 columns,
-    /// `GEMM_TILE_K`-deep reduction tiles).
-    #[test]
-    fn gemm_tiling_is_bit_identical_to_untiled_loops() {
-        for (m, k, n) in [
-            (1, 1, 1),
-            (3, 5, 4),
-            (2, 31, 5),
-            (3, 32, 9),
-            (2, 33, 11),
-            (4, 70, 6),
-            (5, 64, 3),
-        ] {
-            let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.13).sin()).collect();
-            let b_kn: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.29).cos()).collect();
-            let b_nk = transpose(&b_kn, k, n);
-
-            // gemm_nt vs. one dot per output element.
-            let mut nt = vec![0.0; m * n];
-            gemm_nt(&mut nt, &a, &b_nk, m, k, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let want = dot(&a[i * k..(i + 1) * k], &b_nk[j * k..(j + 1) * k]);
-                    assert_eq!(
-                        nt[i * n + j].to_bits(),
-                        want.to_bits(),
-                        "gemm_nt {m}x{k}x{n} @({i},{j})"
-                    );
-                }
-            }
-
-            // gemm_nn vs. the untiled ascending-j axpy loop.
-            let mut nn = vec![0.0; m * n];
-            gemm_nn(&mut nn, &a, &b_kn, m, k, n);
-            let mut nn_ref = vec![0.0; m * n];
-            for i in 0..m {
-                for j in 0..k {
-                    axpy(
-                        &mut nn_ref[i * n..(i + 1) * n],
-                        a[i * k + j],
-                        &b_kn[j * n..(j + 1) * n],
-                    );
-                }
-            }
-            for (got, want) in nn.iter().zip(&nn_ref) {
-                assert_eq!(got.to_bits(), want.to_bits(), "gemm_nn {m}x{k}x{n}");
-            }
-
-            // gemm_tn_acc vs. the untiled ascending-sample axpy loop,
-            // including a nonzero starting accumulator.
-            let a_t = transpose(&a, m, k);
-            let b_mn: Vec<f64> = (0..m * n).map(|i| (i as f64 * 0.41).sin()).collect();
-            let seed: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.07).cos()).collect();
-            let mut tn = seed.clone();
-            gemm_tn_acc(&mut tn, &a_t, &b_mn, m, k, n);
-            let mut tn_ref = seed;
-            for i in 0..m {
-                let b_row = &b_mn[i * n..(i + 1) * n];
-                for j in 0..k {
-                    axpy(&mut tn_ref[j * n..(j + 1) * n], a_t[i * k + j], b_row);
-                }
-            }
-            for (got, want) in tn.iter().zip(&tn_ref) {
-                assert_eq!(got.to_bits(), want.to_bits(), "gemm_tn_acc {m}x{k}x{n}");
-            }
-        }
     }
 
     #[test]
@@ -797,7 +1181,7 @@ mod tests {
     #[should_panic(expected = "gemm_nt: B is not")]
     fn gemm_nt_shape_mismatch_panics() {
         let mut out = [0.0; 4];
-        gemm_nt(&mut out, &[1.0; 4], &[1.0; 3], 2, 2, 2);
+        gemm_nt(&mut out, &[1.0; 4], &[1.0; 3], 2, 2, 2, &mut Vec::new());
     }
 
     #[test]

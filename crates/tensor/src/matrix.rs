@@ -195,16 +195,11 @@ impl Matrix {
             x.len(),
             self.cols
         );
-        let mut out = Vector::zeros(self.rows);
-        crate::kernels::gemm_nt(
-            out.as_mut_slice(),
-            &self.data,
-            x.as_slice(),
-            self.rows,
-            self.cols,
-            1,
-        );
-        out
+        // One `dot` per row: exactly `gemm_nt`'s per-output contract,
+        // without packing a one-column panel.
+        Vector::from_fn(self.rows, |r| {
+            crate::kernels::dot(self.row(r), x.as_slice())
+        })
     }
 
     /// Matrix–matrix product `self * other` (`m×k · k×n → m×n`).
@@ -276,6 +271,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.rows,
+            &mut Vec::new(),
         );
         out
     }
