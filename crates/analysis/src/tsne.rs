@@ -51,7 +51,10 @@ impl Default for TsneConfig {
 ///
 /// Panics if point dimensions are inconsistent or any coordinate is
 /// non-finite.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clearest form here
+#[expect(
+    clippy::needless_range_loop,
+    reason = "parallel-array indexing is the clearest form here"
+)]
 pub fn embed(points: &[Vector], config: &TsneConfig) -> Vec<(f64, f64)> {
     let n = points.len();
     if n == 0 {

@@ -285,7 +285,10 @@ mod tests {
     /// The exhaustive `O(k·n²)` dynamic program `monotone_boundaries`
     /// replaced, kept as the differential oracle: every cell scans every
     /// last-cluster start, smallest first, strict `<`.
-    #[allow(clippy::needless_range_loop)] // DP tables are indexed in lockstep
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "DP tables are indexed in lockstep"
+    )]
     fn quadratic_boundaries(pfx: &Prefix, kk: usize) -> Vec<usize> {
         let n = pfx.len();
         // dp[c][j] = min cost of clustering the first j points into c+1 clusters.

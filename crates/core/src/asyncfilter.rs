@@ -303,9 +303,12 @@ impl AsyncFilter {
     ///
     /// Panics if the configuration is invalid; use
     /// [`AsyncFilterConfig::validate`] for a recoverable check.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; validate() is the recoverable path"
+    )]
     pub fn new(config: AsyncFilterConfig) -> Self {
         if let Err(e) = config.validate() {
-            // lint:allow(P1) -- documented constructor contract; validate() is the recoverable path
             panic!("invalid AsyncFilterConfig: {e}");
         }
         Self {

@@ -133,9 +133,12 @@ impl Task {
     ///
     /// Panics if `spec.validate()` fails; call it first for a recoverable
     /// check.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; validate() is the recoverable path"
+    )]
     pub fn new<R: Rng + ?Sized>(spec: TaskSpec, rng: &mut R) -> Self {
         if let Err(e) = spec.validate() {
-            // lint:allow(P1) -- documented constructor contract; validate() is the recoverable path
             panic!("invalid TaskSpec: {e}");
         }
         let class_means = match spec.mean_structure {

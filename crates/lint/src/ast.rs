@@ -2,16 +2,13 @@
 //! spans, produced by [`crate::parser`].
 //!
 //! This is a *lint-grade* AST, not a compiler front-end: it keeps exactly
-//! the structure the rule families need — paths (so `use` resolution can
-//! distinguish `std::collections::HashMap` from a local type of the same
-//! name), method calls with turbofish (so `.sum::<f64>()` is visible),
-//! index expressions, assignment operators, loop/closure nesting (for the
-//! reduction dataflow in rule `F3`), `let` bindings with type annotations
-//! (the scope table tracks float-typed locals), and macro invocations with
-//! best-effort re-parsed arguments. Everything it does not understand it
-//! preserves as opaque nodes rather than failing, and a file that does not
-//! parse at all falls back to the token-pattern engine (see
-//! `crate::engine`).
+//! the structure the rule families need — method calls with turbofish (so
+//! `.sum::<f64>()` is visible), index expressions, assignment operators,
+//! loop/closure nesting (for the reduction dataflow in rule `F3`), `let`
+//! bindings with type annotations (the walker tracks float-typed locals),
+//! and macro invocations with best-effort re-parsed arguments. Everything
+//! it does not understand it preserves as opaque nodes rather than failing;
+//! a file that does not parse at all is a violation (see `crate::engine`).
 
 /// A half-open byte range into the source file, plus the 1-based line the
 /// node starts on. Columns are derived lazily via [`LineIndex`].
@@ -120,18 +117,6 @@ impl Path {
     }
 }
 
-/// A flattened `use` declaration: one imported name (or glob).
-#[derive(Debug, Clone)]
-pub struct UseEntry {
-    /// The full path being imported, e.g. `std::collections::HashMap`.
-    pub path: Vec<String>,
-    /// The name it binds locally (`HashMap`, or the rename after `as`).
-    /// `None` for glob imports (`use x::*`).
-    pub alias: Option<String>,
-    /// Span of the entry (the leaf, not the whole `use` item).
-    pub span: Span,
-}
-
 /// A type reference, kept as normalized text plus cheap classification.
 #[derive(Debug, Clone)]
 pub struct TypeRef {
@@ -156,7 +141,7 @@ impl TypeRef {
 }
 
 /// Binding names introduced by a pattern. This is a summary, not a full
-/// pattern tree: the scope table only needs names (and, for `let`, whether
+/// pattern tree: the rules only need names (and, for `let`, whether
 /// the pattern is one plain binding so an initializer type can be
 /// propagated to it).
 #[derive(Debug, Clone, Default)]
@@ -449,18 +434,14 @@ pub struct FnItem {
 /// Item kinds.
 #[derive(Debug, Clone)]
 pub enum ItemKind {
-    /// A `use` declaration, flattened.
-    Use(Vec<UseEntry>),
+    /// A `use` declaration (consumed, not modelled: no rule resolves names).
+    Use,
     /// `fn`.
     Fn(FnItem),
-    /// `struct` / `enum` / `union` / `trait alias` — only the defined
-    /// name matters (it shadows imports during path resolution).
+    /// `struct` / `enum` / `union` — the body is skipped.
     TypeDef {
         /// The defined type's name.
         name: String,
-        /// Enum variant names (empty otherwise) — `X1` uses these for
-        /// `Event` catalogues.
-        variants: Vec<String>,
     },
     /// `type Alias = …;`
     TypeAlias {
@@ -527,185 +508,6 @@ pub struct Item {
 pub struct File {
     /// Top-level items.
     pub items: Vec<Item>,
-}
-
-/// AST visitor with default deep-walk behaviour. Rules implement the
-/// `visit_*` hooks they care about and call the matching `walk_*` to
-/// recurse; see `docs/LINTS.md` § "writing a new rule".
-pub trait Visitor {
-    /// Visits one item. Default: recurse.
-    fn visit_item(&mut self, item: &Item) {
-        walk_item(self, item);
-    }
-    /// Visits one statement. Default: recurse.
-    fn visit_stmt(&mut self, stmt: &Stmt) {
-        walk_stmt(self, stmt);
-    }
-    /// Visits one expression. Default: recurse.
-    fn visit_expr(&mut self, expr: &Expr) {
-        walk_expr(self, expr);
-    }
-    /// Visits one block. Default: recurse.
-    fn visit_block(&mut self, block: &Block) {
-        walk_block(self, block);
-    }
-}
-
-/// Recurses into an item's children.
-pub fn walk_item<V: Visitor + ?Sized>(v: &mut V, item: &Item) {
-    match &item.kind {
-        ItemKind::Fn(f) => {
-            if let Some(body) = &f.body {
-                v.visit_block(body);
-            }
-        }
-        ItemKind::ConstStatic {
-            init: Some(init), ..
-        } => {
-            v.visit_expr(init);
-        }
-        ItemKind::Impl { items, .. } | ItemKind::Trait { items, .. } => {
-            for it in items {
-                v.visit_item(it);
-            }
-        }
-        ItemKind::Mod {
-            items: Some(items), ..
-        } => {
-            for it in items {
-                v.visit_item(it);
-            }
-        }
-        ItemKind::Macro(mac) => {
-            for arg in &mac.args {
-                v.visit_expr(arg);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Recurses into a statement's children.
-pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, stmt: &Stmt) {
-    match stmt {
-        Stmt::Let { init, els, .. } => {
-            if let Some(init) = init {
-                v.visit_expr(init);
-            }
-            if let Some(els) = els {
-                v.visit_block(els);
-            }
-        }
-        Stmt::Expr { expr, .. } => v.visit_expr(expr),
-        Stmt::Item(item) => v.visit_item(item),
-    }
-}
-
-/// Recurses into a block's statements.
-pub fn walk_block<V: Visitor + ?Sized>(v: &mut V, block: &Block) {
-    for stmt in &block.stmts {
-        v.visit_stmt(stmt);
-    }
-}
-
-/// Recurses into an expression's children.
-pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, expr: &Expr) {
-    match &expr.kind {
-        ExprKind::Path(_) | ExprKind::Lit(_) | ExprKind::Opaque => {}
-        ExprKind::Unary(e)
-        | ExprKind::Ref(e)
-        | ExprKind::Field(e)
-        | ExprKind::Try(e)
-        | ExprKind::Await(e) => v.visit_expr(e),
-        ExprKind::Binary { lhs, rhs, .. }
-        | ExprKind::Assign { lhs, rhs }
-        | ExprKind::AssignOp { lhs, rhs, .. } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
-        }
-        ExprKind::Call { callee, args } => {
-            v.visit_expr(callee);
-            for a in args {
-                v.visit_expr(a);
-            }
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            v.visit_expr(recv);
-            for a in args {
-                v.visit_expr(a);
-            }
-        }
-        ExprKind::Index { recv, index, .. } => {
-            v.visit_expr(recv);
-            v.visit_expr(index);
-        }
-        ExprKind::Macro(mac) => {
-            for a in &mac.args {
-                v.visit_expr(a);
-            }
-        }
-        ExprKind::Block(b) | ExprKind::Loop(b) => v.visit_block(b),
-        ExprKind::If {
-            cond, then, else_, ..
-        } => {
-            v.visit_expr(cond);
-            v.visit_block(then);
-            if let Some(e) = else_ {
-                v.visit_expr(e);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            v.visit_expr(cond);
-            v.visit_block(body);
-        }
-        ExprKind::For { iter, body, .. } => {
-            v.visit_expr(iter);
-            v.visit_block(body);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            v.visit_expr(scrutinee);
-            for (_, guard, body) in arms {
-                if let Some(g) = guard {
-                    v.visit_expr(g);
-                }
-                v.visit_expr(body);
-            }
-        }
-        ExprKind::Closure { body, .. } => v.visit_expr(body),
-        ExprKind::Range { lo, hi } => {
-            if let Some(e) = lo {
-                v.visit_expr(e);
-            }
-            if let Some(e) = hi {
-                v.visit_expr(e);
-            }
-        }
-        ExprKind::Cast { expr: e, .. } => v.visit_expr(e),
-        ExprKind::Struct { fields, rest, .. } => {
-            for (_, init) in fields {
-                if let Some(e) = init {
-                    v.visit_expr(e);
-                }
-            }
-            if let Some(r) = rest {
-                v.visit_expr(r);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => {
-            for e in es {
-                v.visit_expr(e);
-            }
-        }
-        ExprKind::Repeat { elem, len } => {
-            v.visit_expr(elem);
-            v.visit_expr(len);
-        }
-        ExprKind::Jump(e) => {
-            if let Some(e) = e {
-                v.visit_expr(e);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,44 +1,18 @@
-//! AST-level rule checks: the scope-aware re-expression of D1–D4/F1/F2/P1
-//! plus the rule families the token engine cannot see (F3 float-reduction
-//! policy, P2 unchecked indexing).
+//! AST-level rule checks: F2 float equality, F3 float-reduction policy
+//! and P2 unchecked indexing.
 //!
-//! The walker threads three pieces of context the token scan never had:
-//! the per-file symbol table ([`FileScope`]) so `std::collections::HashMap`
-//! and a local `HashMap` alias are distinguished; a float-local dataflow
-//! map (`let acc: f64` / float-literal initializers / float fn params) so
-//! `acc += x` inside a loop is recognized as a reduction; and the loop/
-//! closure nesting depth. Test-gated items are computed from parsed
-//! attributes instead of the old token heuristic.
+//! The walker threads two pieces of context a token scan cannot see: a
+//! float-local dataflow map (`let acc: f64` / float-literal initializers /
+//! float fn params) so `acc += x` inside a loop is recognized as a
+//! reduction, and the loop/closure nesting depth. Test-gated items come
+//! from parsed attributes.
 
 use crate::ast::{
-    BinOp, Block, Expr, ExprKind, File, FnItem, Item, ItemKind, LineIndex, Lit, MacroCall, Span,
-    Stmt, TypeRef,
+    BinOp, Block, Expr, ExprKind, File, FnItem, Item, ItemKind, Lit, MacroCall, Span, Stmt, TypeRef,
 };
 use crate::engine::FileClass;
 use crate::rules::RuleHit;
-use crate::scope::{FileScope, Resolved};
-use crate::tokenizer::{float_literal_is_zero, Lexed, TokenKind};
-
-/// One `Event::<Kind>` construction site, collected for the workspace-level
-/// X1 contract-drift check.
-#[derive(Debug, Clone)]
-pub struct EventKindUse {
-    /// The snake_case event kind (as `Event::kind()` renders it).
-    pub kind: String,
-    /// 1-based line of the construction.
-    pub line: u32,
-    /// Byte span of the path.
-    pub span: (u32, u32),
-}
-
-/// Everything the AST pass produces for one file.
-#[derive(Debug, Default)]
-pub struct AstScan {
-    /// Raw rule hits, before `lint:allow` filtering.
-    pub hits: Vec<RuleHit>,
-    /// `Event::<Kind>` constructions found in non-test code.
-    pub event_kinds: Vec<EventKindUse>,
-}
+use crate::tokenizer::float_literal_is_zero;
 
 /// The one module allowed to contain raw float reductions and raw indexing:
 /// its fixed reduction trees ARE the determinism contract (DESIGN.md §9),
@@ -50,22 +24,9 @@ const KERNELS_PATH: &str = "crates/tensor/src/kernels.rs";
 const P2_CRATES: &[&str] = &["tensor", "ml", "sim", "core"];
 
 /// Runs every AST rule over one parsed file.
-pub fn scan(
-    file: &File,
-    scope: &FileScope,
-    class: &FileClass,
-    rel_path: &str,
-    lexed: &Lexed,
-    index: &LineIndex,
-) -> AstScan {
+pub fn scan(file: &File, class: &FileClass, rel_path: &str) -> Vec<RuleHit> {
     let mut w = Walker {
-        scope,
-        class,
         is_kernels: rel_path == KERNELS_PATH,
-        p1_applies: !class.is_bench_crate
-            && !class.is_test_file
-            && !class.is_binary
-            && !class.is_example,
         p2_applies: class
             .crate_name
             .as_deref()
@@ -80,198 +41,17 @@ pub fn scan(
         closure_depth: 0,
         debug_assert_depth: 0,
         float_locals: vec![Default::default()],
-        out: AstScan::default(),
+        hits: Vec::new(),
     };
     for item in &file.items {
         w.walk_item(item);
     }
-    let test_lines = test_line_set(file, index, class.is_test_file);
-    w.out
-        .hits
-        .extend(name_resolution_hits(lexed, scope, class, &test_lines));
-    w.out.hits.sort_by_key(|h| (h.line, h.span.0));
-    w.out
+    w.hits.sort_by_key(|h| (h.line, h.span.0));
+    w.hits
 }
 
-/// Marks every line covered by a test-gated item.
-fn test_line_set(file: &File, index: &LineIndex, whole_file: bool) -> Vec<(u32, u32)> {
-    if whole_file {
-        return vec![(0, u32::MAX)];
-    }
-    let mut spans = Vec::new();
-    fn walk(items: &[Item], index: &LineIndex, out: &mut Vec<(u32, u32)>) {
-        for item in items {
-            if item.test_gated {
-                let (first, _) = index.line_col(item.span.start);
-                let (last, _) = index.line_col(item.span.end.saturating_sub(1));
-                out.push((first, last));
-                continue;
-            }
-            match &item.kind {
-                ItemKind::Mod {
-                    items: Some(inner), ..
-                } => walk(inner, index, out),
-                ItemKind::Impl { items, .. } | ItemKind::Trait { items, .. } => {
-                    walk(items, index, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(&file.items, index, &mut spans);
-    spans
-}
-
-fn line_in(spans: &[(u32, u32)], line: u32) -> bool {
-    spans.iter().any(|&(a, b)| a <= line && line <= b)
-}
-
-/// Names whose resolution decides D1/D2/D4: the token positions come from
-/// the lexer (so type positions, struct fields and signatures are covered),
-/// the *meaning* comes from the scope table.
-fn name_resolution_hits(
-    lexed: &Lexed,
-    scope: &FileScope,
-    class: &FileClass,
-    test_lines: &[(u32, u32)],
-) -> Vec<RuleHit> {
-    let toks = &lexed.tokens;
-    let mut hits = Vec::new();
-    let d1_applies = !class.is_bench_crate && !class.is_test_file;
-    let d2_applies = !class.is_bench_crate && !class.is_telemetry_crate;
-    let d3_applies = !class.is_test_file;
-    let d4_applies = !class.is_telemetry_crate;
-
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let tested = line_in(test_lines, t.line);
-        let next_is = |s: &str| {
-            toks.get(i + 1)
-                .is_some_and(|n| n.kind == TokenKind::Op && n.text == s)
-        };
-        let then_ident = |s: &str| {
-            toks.get(i + 2)
-                .is_some_and(|n| n.kind == TokenKind::Ident && n.text == s)
-        };
-
-        // D1 — nondeterministic collections, resolution-aware. Fires on
-        // the name `HashMap`/`HashSet` unless the file defines that name
-        // itself, and on any alias whose import resolves into a hash
-        // collection.
-        if d1_applies && !tested {
-            let hashy = |name: &str| name == "HashMap" || name == "HashSet";
-            let mut flagged: Option<&str> = None;
-            if hashy(&t.text) && scope.resolve_name(&t.text) != Resolved::Local {
-                flagged = Some(t.text.as_str());
-            } else if let Resolved::Import(full) = scope.resolve_name(&t.text) {
-                if full.last().is_some_and(|l| hashy(l)) && full.first() != Some(&t.text) {
-                    flagged = Some(if full.last().is_some_and(|l| l == "HashMap") {
-                        "HashMap"
-                    } else {
-                        "HashSet"
-                    });
-                }
-            }
-            if let Some(which) = flagged {
-                let replacement = if which == "HashMap" {
-                    "BTreeMap"
-                } else {
-                    "BTreeSet"
-                };
-                hits.push(RuleHit {
-                    rule: "D1",
-                    line: t.line,
-                    span: (t.start, t.end),
-                    message: format!(
-                        "{} iteration order is nondeterministic; filter verdicts and \
-                         aggregation must be reproducible — use {replacement} or a sorted Vec",
-                        which
-                    ),
-                });
-            }
-        }
-
-        // D2 — ambient entropy / wall clock.
-        if d2_applies {
-            if t.text == "thread_rng" || t.text == "from_entropy" {
-                hits.push(RuleHit {
-                    rule: "D2",
-                    line: t.line,
-                    span: (t.start, t.end),
-                    message: format!(
-                        "{} draws ambient entropy; derive a seeded StdRng from the run \
-                         seed so filter decisions replay bit-identically",
-                        t.text
-                    ),
-                });
-            }
-            if t.text == "SystemTime"
-                && next_is("::")
-                && then_ident("now")
-                && scope.resolve_name("SystemTime") != Resolved::Local
-            {
-                hits.push(RuleHit {
-                    rule: "D2",
-                    line: t.line,
-                    span: (t.start, t.end),
-                    message: "SystemTime::now makes behaviour depend on wall-clock time; \
-                              thread virtual time through instead"
-                        .to_string(),
-                });
-            }
-        }
-
-        // D4 — the sanctioned wall clock lives in asyncfl-telemetry.
-        if d4_applies
-            && t.text == "Instant"
-            && next_is("::")
-            && then_ident("now")
-            && scope.resolve_name("Instant") != Resolved::Local
-        {
-            hits.push(RuleHit {
-                rule: "D4",
-                line: t.line,
-                span: (t.start, t.end),
-                message: "Instant::now() bypasses the sanctioned wall clock; use \
-                          asyncfl_telemetry::Stopwatch so all timing reads one \
-                          auditable source"
-                    .to_string(),
-            });
-        }
-
-        // D3 — hermetic build: no paths into replaced external crates.
-        if d3_applies
-            && !tested
-            && (t.text == "rand" || t.text == "crossbeam" || t.text == "parking_lot")
-            && next_is("::")
-        {
-            let replacement = match t.text.as_str() {
-                "rand" => "asyncfl_rng",
-                "crossbeam" => "std::sync::mpsc",
-                _ => "std::sync::Mutex/RwLock",
-            };
-            hits.push(RuleHit {
-                rule: "D3",
-                line: t.line,
-                span: (t.start, t.end),
-                message: format!(
-                    "{}:: pulls an external crate back into the runtime graph and breaks \
-                     the offline build; use {replacement} instead",
-                    t.text
-                ),
-            });
-        }
-    }
-    hits
-}
-
-struct Walker<'a> {
-    scope: &'a FileScope,
-    class: &'a FileClass,
+struct Walker {
     is_kernels: bool,
-    p1_applies: bool,
     p2_applies: bool,
     f2_applies: bool,
     f3_applies: bool,
@@ -281,12 +61,12 @@ struct Walker<'a> {
     debug_assert_depth: usize,
     /// Stack of lexical scopes mapping binding name → "is a float scalar".
     float_locals: Vec<std::collections::BTreeMap<String, bool>>,
-    out: AstScan,
+    hits: Vec<RuleHit>,
 }
 
-impl<'a> Walker<'a> {
+impl Walker {
     fn hit(&mut self, rule: &'static str, span: Span, message: String) {
-        self.out.hits.push(RuleHit {
+        self.hits.push(RuleHit {
             rule,
             line: span.line,
             span: (span.start, span.end),
@@ -429,16 +209,6 @@ impl<'a> Walker<'a> {
 
     fn walk_macro(&mut self, mac: &MacroCall) {
         let is_debug_assert = mac.path.last().starts_with("debug_assert");
-        // P1: panic! in library code.
-        if self.p1_applies && !self.in_test && mac.path.last() == "panic" {
-            self.hit(
-                "P1",
-                mac.path.span,
-                "panic! in library code aborts the whole server; return a \
-                 Result or justify with a lint:allow"
-                    .to_string(),
-            );
-        }
         if is_debug_assert {
             self.debug_assert_depth += 1;
         }
@@ -641,8 +411,7 @@ impl<'a> Walker<'a> {
                     self.walk_expr(e);
                 }
             }
-            ExprKind::Struct { path, fields, rest } => {
-                self.collect_event_kind(path, expr.span);
+            ExprKind::Struct { fields, rest, .. } => {
                 for (_, v) in fields {
                     if let Some(e) = v {
                         self.walk_expr(e);
@@ -662,14 +431,6 @@ impl<'a> Walker<'a> {
                 self.walk_expr(len);
             }
         }
-        // Event path constructions without struct braces (unit-ish uses
-        // like match arms construct nothing, so only `ExprKind::Struct`
-        // and call-form `Event::X(…)` matter; calls have a Path callee).
-        if let ExprKind::Call { callee, .. } = &expr.kind {
-            if let ExprKind::Path(p) = &callee.kind {
-                self.collect_event_kind(p, expr.span);
-            }
-        }
     }
 
     fn method_call_rules(
@@ -679,27 +440,6 @@ impl<'a> Walker<'a> {
         turbofish: &[String],
         args: &[Expr],
     ) {
-        // F1 — NaN-unsafe comparator (applies to test code too).
-        if name == "partial_cmp" {
-            self.hit(
-                "F1",
-                name_span,
-                "partial_cmp(..).unwrap()/expect() panics on NaN and poisons sort \
-                 order; use f64::total_cmp for a NaN-safe total order"
-                    .to_string(),
-            );
-        }
-        // P1 — panic-freedom.
-        if self.p1_applies && !self.in_test && (name == "unwrap" || name == "expect") {
-            self.hit(
-                "P1",
-                name_span,
-                format!(
-                    ".{name}() can abort a long training run mid-flight; return an error, \
-                     use unwrap_or/match, or justify with a lint:allow"
-                ),
-            );
-        }
         if self.f3_active() {
             // F3(a) — explicitly float-typed reductions.
             if (name == "sum" || name == "product")
@@ -718,74 +458,6 @@ impl<'a> Walker<'a> {
             }
         }
     }
-
-    /// Records `Event::Kind { … }` / `Event::Kind(…)` constructions for
-    /// the X1 drift check. `Event` must resolve to the telemetry crate's
-    /// event type (or be used inside the telemetry crate itself).
-    fn collect_event_kind(&mut self, path: &crate::ast::Path, span: Span) {
-        if self.in_test {
-            return;
-        }
-        if path.segments.len() < 2 {
-            return;
-        }
-        let n = path.segments.len();
-        if path.segments[n - 2] != "Event" {
-            return;
-        }
-        let is_event = if n == 2 {
-            // Bare `Event::Kind` — meaning comes from the import map.
-            match self.scope.resolve_name("Event") {
-                Resolved::Import(full) => {
-                    full.first().is_some_and(|c| c == "asyncfl_telemetry")
-                        || (self.class.is_telemetry_crate
-                            && full.last().is_some_and(|l| l == "Event"))
-                }
-                Resolved::Local => self.class.is_telemetry_crate,
-                Resolved::Unresolved => self
-                    .scope
-                    .globs()
-                    .iter()
-                    .any(|g| g.first().is_some_and(|c| c == "asyncfl_telemetry")),
-            }
-        } else {
-            // Qualified `…::Event::Kind` — canonicalize the prefix.
-            let canon = self.scope.canonicalize(path);
-            canon.first().is_some_and(|c| c == "asyncfl_telemetry")
-                || (self.class.is_telemetry_crate
-                    && canon
-                        .first()
-                        .is_some_and(|c| matches!(c.as_str(), "crate" | "super" | "self")))
-        };
-        if !is_event {
-            return;
-        }
-        let variant = &path.segments[n - 1];
-        if !variant.starts_with(char::is_uppercase) {
-            return;
-        }
-        self.out.event_kinds.push(EventKindUse {
-            kind: camel_to_snake(variant),
-            line: span.line,
-            span: (span.start, span.end),
-        });
-    }
-}
-
-/// CamelCase → snake_case, matching `Event::kind()`.
-pub fn camel_to_snake(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    for (i, c) in name.chars().enumerate() {
-        if c.is_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.extend(c.to_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 /// Whether an expression is (modulo unary minus/parens) a nonzero float
@@ -853,17 +525,4 @@ fn bare_reduction_call(e: &Expr) -> Option<(&'static str, Span)> {
         }
     }
     None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::camel_to_snake;
-
-    #[test]
-    fn camel_to_snake_matches_event_kind() {
-        assert_eq!(camel_to_snake("UpdateReceived"), "update_received");
-        assert_eq!(camel_to_snake("SpanClosed"), "span_closed");
-        assert_eq!(camel_to_snake("FilterScore"), "filter_score");
-        assert_eq!(camel_to_snake("CounterAdd"), "counter_add");
-    }
 }

@@ -1,20 +1,19 @@
-//! Per-file lint engine v2: parse → scope tables → AST rules, with the v1
-//! token-pattern scan kept as a fallback for files the parser cannot
-//! handle, plus file classification, `lint:allow` directive handling
-//! (multi-line reasons, staleness detection) and diagnostic rendering.
+//! Per-file lint engine: parse → AST rules, plus file classification,
+//! `lint:allow` directive handling (multi-line reasons, staleness
+//! detection) and diagnostic positions. A file the parser rejects is a
+//! violation in its own right: no rule can vouch for code it cannot see.
 
 use crate::ast::LineIndex;
-use crate::ast_rules::{self, EventKindUse};
+use crate::ast_rules;
 use crate::parser;
 use crate::rules::{self, RuleHit};
-use crate::scope::FileScope;
-use crate::tokenizer::{self, Comment, Lexed, TokenKind};
+use crate::tokenizer;
 
 /// A confirmed lint violation (or directive problem) in one file.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`D1`…`P2`, `X1`, or `A0`/`A2` for directive
-    /// problems; `PF` marks a parser-fallback note).
+    /// Rule identifier (`F2`, `F3`, `P2`; `A0`/`A2` for directive
+    /// problems; `parse` for a file the parser rejects).
     pub rule: String,
     /// Workspace-relative path.
     pub path: String,
@@ -49,18 +48,10 @@ impl Diagnostic {
 pub struct FileReport {
     /// Hard violations — any of these fails the run.
     pub violations: Vec<Diagnostic>,
-    /// Non-fatal notes (currently: parser-fallback files).
-    pub warnings: Vec<Diagnostic>,
     /// Well-formed `lint:allow` directives that suppressed at least one hit.
     pub allows_used: usize,
     /// All well-formed `lint:allow` directives in the file.
     pub allows_total: usize,
-    /// `Event::<Kind>` constructions collected for the workspace-level X1
-    /// contract-drift check.
-    pub event_kinds: Vec<EventKindUse>,
-    /// Whether the AST parser failed and the token fallback ran (F3/P2 do
-    /// not fire in fallback mode).
-    pub parse_fallback: bool,
 }
 
 /// What kind of code a file contains, derived from its workspace-relative
@@ -75,10 +66,8 @@ pub struct FileClass {
     pub is_binary: bool,
     /// Example under an `examples/` directory.
     pub is_example: bool,
-    /// Part of `crates/bench` (measurement harness; exempt from D1/D2/P1).
+    /// Part of `crates/bench` (measurement harness; exempt from F3).
     pub is_bench_crate: bool,
-    /// Part of `crates/telemetry` (owns the wall clock; exempt from D2/D4).
-    pub is_telemetry_crate: bool,
 }
 
 impl FileClass {
@@ -97,7 +86,6 @@ impl FileClass {
             is_binary: has_dir("bin") || file_name == "main.rs",
             is_example: has_dir("examples"),
             is_bench_crate: crate_name.as_deref() == Some("bench"),
-            is_telemetry_crate: crate_name.as_deref() == Some("telemetry"),
             crate_name,
         }
     }
@@ -123,37 +111,28 @@ pub fn check_source(rel_path: &str, source: &str) -> FileReport {
     let index = LineIndex::new(source);
 
     let mut report = FileReport::default();
-    let hits: Vec<RuleHit> = match parser::parse_file(&lexed) {
-        Ok(file) => {
-            let scope = FileScope::build(&file);
-            let scan = ast_rules::scan(&file, &scope, &class, rel_path, &lexed, &index);
-            report.event_kinds = scan.event_kinds;
-            scan.hits
-        }
+    let file = match parser::parse_file(&lexed) {
+        Ok(file) => file,
         Err(e) => {
-            report.parse_fallback = true;
-            let (line, col) = index.line_col(e.span.start);
-            report.warnings.push(Diagnostic {
-                rule: "PF".to_string(),
-                path: rel_path.to_string(),
-                line,
-                col,
-                span: Some((e.span.start, e.span.end)),
-                snippet: line_snippet(&index, source, line),
-                message: format!(
-                    "file did not parse ({}); token-scan fallback ran — F3/P2 and \
-                     scope-aware resolution are inactive here",
-                    e.message
-                ),
-            });
-            let in_test = if class.is_test_file {
-                vec![true; lexed.tokens.len()]
-            } else {
-                test_regions(&lexed)
-            };
-            rules::scan(&lexed, &class, &in_test)
+            report.violations.push(to_diagnostic(
+                rel_path,
+                RuleHit {
+                    rule: "parse",
+                    line: e.span.line,
+                    span: (e.span.start, e.span.end),
+                    message: format!(
+                        "file did not parse ({}), so no rule checked it; fix the syntax \
+                         or teach the parser the construct",
+                        e.message
+                    ),
+                },
+                source,
+                &index,
+            ));
+            return report;
         }
     };
+    let hits = ast_rules::scan(&file, &class, rel_path);
 
     // Directive collection with multi-line reason folding: a directive
     // comment absorbs immediately-following comment lines (rustfmt-wrapped
@@ -337,11 +316,7 @@ fn parse_allow(comment: &str) -> ParsedAllow {
     if let Some(unknown) = rule_list.iter().find(|r| !rules::is_known_rule(r)) {
         return ParsedAllow::Malformed(format!(
             "lint:allow names unknown rule {unknown:?} (known: {})",
-            rules::RULES
-                .iter()
-                .map(|r| r.id)
-                .collect::<Vec<_>>()
-                .join(", ")
+            rules::RULES.join(", ")
         ));
     }
     let after = &rest[close + 1..];
@@ -354,96 +329,6 @@ fn parse_allow(comment: &str) -> ParsedAllow {
             "lint:allow requires a justification: `lint:allow(RULE) -- <reason>`".to_string(),
         ),
     }
-}
-
-/// Marks tokens covered by `#[test]`- or `#[cfg(test)]`-gated items.
-///
-/// Fallback-path heuristic (the AST path computes this from parsed
-/// attributes): an attribute whose token list contains the identifier
-/// `test` (and not `not`, so `#[cfg(not(test))]` stays live code) marks the
-/// following item — through any further attributes, up to the matching
-/// close brace or a top-level `;` — as test code.
-fn test_regions(lexed: &Lexed) -> Vec<bool> {
-    let toks = &lexed.tokens;
-    let mut in_test = vec![false; toks.len()];
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !is_attr_start(lexed, i) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let (attr_end, is_test) = scan_attr(lexed, i);
-        if !is_test {
-            i = attr_end;
-            continue;
-        }
-        // Skip any further attributes on the same item.
-        let mut k = attr_end;
-        while is_attr_start(lexed, k) {
-            let (next_end, _) = scan_attr(lexed, k);
-            k = next_end;
-        }
-        // Consume the item: to the matching `}` or a top-level `;`.
-        let mut depth = 0i64;
-        while k < toks.len() {
-            match toks[k].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                ";" if depth == 0 => {
-                    k += 1;
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        for flag in in_test.iter_mut().take(k).skip(start) {
-            *flag = true;
-        }
-        i = k;
-    }
-    in_test
-}
-
-/// Whether token `i` starts an outer attribute `#[…]`.
-fn is_attr_start(lexed: &Lexed, i: usize) -> bool {
-    let toks = &lexed.tokens;
-    matches!(toks.get(i), Some(t) if t.kind == TokenKind::Op && t.text == "#")
-        && matches!(toks.get(i + 1), Some(t) if t.kind == TokenKind::Op && t.text == "[")
-}
-
-/// Scans the attribute starting at `i`; returns (index past `]`, is-test).
-fn scan_attr(lexed: &Lexed, i: usize) -> (usize, bool) {
-    let toks = &lexed.tokens;
-    let mut j = i + 2;
-    let mut depth = 1i64;
-    let mut has_test = false;
-    let mut has_not = false;
-    while j < toks.len() && depth > 0 {
-        let t = &toks[j];
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Op, "[") => depth += 1,
-            (TokenKind::Op, "]") => depth -= 1,
-            (TokenKind::Ident, "test") => has_test = true,
-            (TokenKind::Ident, "not") => has_not = true,
-            _ => {}
-        }
-        j += 1;
-    }
-    (j, has_test && !has_not)
-}
-
-// Suppress an unused-field warning until a caller needs raw comments.
-#[allow(dead_code)]
-fn _comment_fields(c: &Comment) -> (u32, u32) {
-    (c.start, c.end)
 }
 
 #[cfg(test)]
@@ -462,32 +347,30 @@ mod tests {
         let main = FileClass::classify("crates/lint/src/main.rs");
         assert!(main.is_binary && !main.is_bench_crate);
 
-        let tele = FileClass::classify("crates/telemetry/src/span.rs");
-        assert!(tele.is_telemetry_crate);
-
         let integration = FileClass::classify("tests/end_to_end.rs");
         assert!(integration.is_test_file);
         assert!(FileClass::classify("examples/quickstart.rs").is_example);
     }
 
     #[test]
-    fn cfg_test_module_is_exempt_from_p1() {
-        let src = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
+    fn cfg_test_module_is_exempt_from_p2() {
+        let src =
+            "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn f(x: &[u8]) -> u8 { x[0] }\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn cfg_not_test_is_still_live_code() {
-        let src = "#[cfg(not(test))]\nfn f() { x.unwrap(); }\n";
+        let src = "#[cfg(not(test))]\nfn f(x: &[u8]) -> u8 { x[0] }\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "P1");
+        assert_eq!(report.violations[0].rule, "P2");
     }
 
     #[test]
     fn allow_with_reason_suppresses_and_counts() {
-        let src = "fn f() {\n    x.unwrap(); // lint:allow(P1) -- checked above\n}\n";
+        let src = "fn f(x: &[u8]) -> u8 {\n    x[0] // lint:allow(P2) -- checked above\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
@@ -495,14 +378,15 @@ mod tests {
 
     #[test]
     fn allow_on_previous_line_suppresses() {
-        let src = "fn f() {\n    // lint:allow(P1) -- invariant: nonempty\n    x.unwrap();\n}\n";
+        let src =
+            "fn f(x: &[u8]) -> u8 {\n    // lint:allow(P2) -- invariant: nonempty\n    x[0]\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn allow_without_reason_is_a_violation() {
-        let src = "fn f() {\n    x.unwrap(); // lint:allow(P1)\n}\n";
+        let src = "fn f(x: &[u8]) -> u8 {\n    x[0] // lint:allow(P2)\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert!(report.violations.iter().any(|d| d.rule == "A0"));
     }
@@ -515,12 +399,20 @@ mod tests {
     }
 
     #[test]
+    fn allow_naming_a_clippy_enforced_id_is_a_violation() {
+        // P1 moved to clippy: its escape hatch is `#[expect(clippy::panic)]`.
+        let src = "fn f() {\n    // lint:allow(P1) -- retired id\n    g();\n}\n";
+        let report = check_source("crates/core/src/x.rs", src);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].rule, "A0");
+    }
+
+    #[test]
     fn stale_allow_is_an_error() {
-        let src = "fn f() {\n    // lint:allow(D1) -- stale justification\n    let x = 1;\n}\n";
+        let src = "fn f() {\n    // lint:allow(F2) -- stale justification\n    let x = 1;\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].rule, "A2");
-        assert!(report.warnings.is_empty());
     }
 
     #[test]
@@ -528,7 +420,7 @@ mod tests {
         // rustfmt wrapping splits the reason across comment lines; the
         // directive must keep its justification AND still cover the code
         // line that follows the wrapped block.
-        let src = "fn f() {\n    // lint:allow(P1) --\n    // invariant: the buffer is\n    // non-empty after insert\n    x.unwrap();\n}\n";
+        let src = "fn f(x: &[u8]) -> u8 {\n    // lint:allow(P2) --\n    // invariant: the buffer is\n    // non-empty after insert\n    x[0]\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
@@ -536,7 +428,7 @@ mod tests {
 
     #[test]
     fn wrapped_reason_with_partial_first_line() {
-        let src = "fn f() {\n    // lint:allow(P1) -- invariant: the\n    // buffer is non-empty\n    x.unwrap();\n}\n";
+        let src = "fn f(x: &[u8]) -> u8 {\n    // lint:allow(P2) -- invariant: the\n    // buffer is non-empty\n    x[0]\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
@@ -544,27 +436,27 @@ mod tests {
 
     #[test]
     fn diagnostics_carry_position_and_snippet() {
-        let src = "fn f() {\n    x.unwrap();\n}\n";
+        let src = "fn f(x: f64) -> bool {\n    x == 0.5\n}\n";
         let report = check_source("crates/core/src/x.rs", src);
         assert_eq!(report.violations.len(), 1);
         let d = &report.violations[0];
         assert_eq!(d.line, 2);
-        assert_eq!(d.col, 7, "col points at `unwrap`");
-        assert_eq!(d.snippet.as_deref(), Some("    x.unwrap();"));
+        assert_eq!(d.col, 7, "col points at `==`");
+        assert_eq!(d.snippet.as_deref(), Some("    x == 0.5"));
         let (s, e) = d.span.expect("span");
-        assert_eq!(&src[s as usize..e as usize], "unwrap");
+        assert_eq!(&src[s as usize..e as usize], "==");
     }
 
     #[test]
-    fn malformed_file_falls_back_to_token_scan() {
-        let src = "fn f( {\n    let q = x.unwrap();\n";
+    fn malformed_file_is_a_hard_failure() {
+        let src = "fn f( {\n    let q = x[0];\n";
         let report = check_source("crates/core/src/x.rs", src);
-        assert!(report.parse_fallback);
-        assert!(report.warnings.iter().any(|w| w.rule == "PF"));
-        assert!(
-            report.violations.iter().any(|d| d.rule == "P1"),
-            "fallback still catches P1: {:?}",
-            report.violations
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        let d = &report.violations[0];
+        assert_eq!(
+            (d.rule.as_str(), d.path.as_str()),
+            ("parse", "crates/core/src/x.rs")
         );
+        assert!(d.line >= 1 && d.message.contains("did not parse"), "{d:?}");
     }
 }

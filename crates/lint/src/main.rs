@@ -1,12 +1,13 @@
-//! CLI for the AsyncFilter workspace invariant linter.
+//! CLI for the AsyncFilter workspace's parser-based lints (F2, F3, P2 and
+//! the `lint:allow` directive checks); the rest of the catalogue is clippy's.
 //!
 //! ```text
-//! asyncfl-lint check [--json] [--root DIR] [PATH...]
+//! asyncfl-lint check [--root DIR] [PATH...]
 //! ```
 //!
 //! With no `PATH`s, walks `crates/*/src`, `src/`, `tests/` and `examples/`
-//! under the workspace root. Exit codes: `0` clean, `1` violations found,
-//! `2` usage or I/O error.
+//! under the workspace root. Exit codes: `0` clean, `1` violations found
+//! (a file the parser rejects is one), `2` usage or I/O error.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,7 +31,6 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
-    let mut json = false;
     let mut root = PathBuf::from(".");
     let mut explicit_paths: Vec<PathBuf> = Vec::new();
     let mut command: Option<&str> = None;
@@ -39,7 +39,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "check" if command.is_none() => command = Some("check"),
-            "--json" => json = true,
             "--root" => {
                 let dir = iter
                     .next()
@@ -47,7 +46,7 @@ fn run(args: &[String]) -> Result<bool, String> {
                 root = PathBuf::from(dir);
             }
             "--help" | "-h" => {
-                println!("usage: asyncfl-lint check [--json] [--root DIR] [PATH...]");
+                println!("usage: asyncfl-lint check [--root DIR] [PATH...]");
                 return Ok(true);
             }
             other if other.starts_with('-') => {
@@ -60,7 +59,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         return Err("expected the `check` subcommand (try --help)".to_string());
     }
 
-    let explicit_paths_given = !explicit_paths.is_empty();
     let files = if explicit_paths.is_empty() {
         workspace_files(&root)?
     } else {
@@ -84,26 +82,8 @@ fn run(args: &[String]) -> Result<bool, String> {
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         sources.push((relative_label(&root, path), source));
     }
-    // X1 contract-drift checks need the workspace docs. Explicit PATH
-    // invocations lint arbitrary subsets, so the drift checks (which assume
-    // whole-workspace visibility of Event constructions) only arm on full
-    // walks; a missing doc file under a full walk is itself drift.
-    let docs = if explicit_paths_given {
-        asyncfl_lint::WorkspaceDocs::default()
-    } else {
-        asyncfl_lint::WorkspaceDocs {
-            observability: fs::read_to_string(root.join("docs/OBSERVABILITY.md")).ok(),
-            lints: fs::read_to_string(root.join("docs/LINTS.md")).ok(),
-        }
-    };
-    let summary =
-        asyncfl_lint::check_workspace(sources.iter().map(|(p, s)| (p.as_str(), s.as_str())), &docs);
-
-    if json {
-        print!("{}", summary.render_json());
-    } else {
-        print!("{}", summary.render_human());
-    }
+    let summary = asyncfl_lint::check_files(sources.iter().map(|(p, s)| (p.as_str(), s.as_str())));
+    print!("{}", summary.render_human());
     Ok(summary.clean())
 }
 

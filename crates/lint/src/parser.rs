@@ -6,9 +6,8 @@
 //! are captured as normalized text, patterns are summarized to their
 //! binding names, and macro bodies are re-parsed as expression lists on a
 //! best-effort basis. Anything truly unexpected raises a [`ParseError`]
-//! with the offending span; the engine then falls back to the token-scan
-//! rules for that file, so a parser gap can never hide a whole file from
-//! linting.
+//! with the offending span, and the engine reports the file as a
+//! violation, so a parser gap can never hide a whole file from linting.
 
 use crate::ast::*;
 use crate::tokenizer::{Lexed, Token, TokenKind};
@@ -455,65 +454,23 @@ impl<'t> Parser<'t> {
         Ok(())
     }
 
+    /// No rule resolves names, so an import is consumed, not modelled.
     fn parse_use(&mut self) -> Result<ItemKind, ParseError> {
         self.eat_kw("use");
-        let mut entries = Vec::new();
-        self.parse_use_tree(&mut Vec::new(), &mut entries)?;
-        self.expect_op(";")?;
-        Ok(ItemKind::Use(entries))
-    }
-
-    fn parse_use_tree(
-        &mut self,
-        prefix: &mut Vec<String>,
-        out: &mut Vec<UseEntry>,
-    ) -> Result<(), ParseError> {
-        loop {
-            if self.at_op("*") {
-                let sp = self.cur_span();
-                self.pos += 1;
-                out.push(UseEntry {
-                    path: prefix.clone(),
-                    alias: None,
-                    span: sp,
-                });
-                return Ok(());
+        while !self.eat_op(";") {
+            if self.peek().is_none() {
+                return Err(self.error("unterminated use declaration".into()));
             }
             if self.at_op("{") {
-                self.pos += 1;
-                while !self.at_op("}") {
-                    let depth_before = prefix.len();
-                    self.parse_use_tree(prefix, out)?;
-                    prefix.truncate(depth_before);
-                    if !self.eat_op(",") {
-                        break;
-                    }
-                }
-                self.expect_op("}")?;
-                return Ok(());
-            }
-            let seg_span = self.cur_span();
-            let seg = self.expect_ident()?;
-            prefix.push(seg);
-            if self.eat_op("::") {
-                continue;
-            }
-            let alias = if self.eat_kw("as") {
-                Some(self.expect_ident()?)
+                self.skip_balanced()?;
             } else {
-                prefix.last().cloned()
-            };
-            out.push(UseEntry {
-                path: prefix.clone(),
-                alias,
-                span: seg_span.to(self.prev_span()),
-            });
-            return Ok(());
+                self.pos += 1;
+            }
         }
+        Ok(ItemKind::Use)
     }
 
     fn parse_typedef(&mut self) -> Result<ItemKind, ParseError> {
-        let is_enum = self.at_kw("enum");
         self.pos += 1; // struct / enum / union
         let name = self.expect_ident()?;
         if self.at_op("<") {
@@ -522,36 +479,8 @@ impl<'t> Parser<'t> {
         if self.at_kw("where") {
             self.consume_where_clause()?;
         }
-        let mut variants = Vec::new();
         if self.at_op("{") {
-            if is_enum {
-                // Collect variant names: idents at brace depth 1 that start
-                // a variant (follow `{` or `,`), skipping their payloads.
-                self.pos += 1;
-                loop {
-                    let _ = self.parse_attrs()?;
-                    if self.at_op("}") {
-                        break;
-                    }
-                    let v = self.expect_ident()?;
-                    variants.push(v);
-                    if self.at_op("(") || self.at_op("{") {
-                        self.skip_balanced()?;
-                    }
-                    if self.eat_op("=") {
-                        // Explicit discriminant.
-                        while !self.at_op(",") && !self.at_op("}") {
-                            self.pos += 1;
-                        }
-                    }
-                    if !self.eat_op(",") {
-                        break;
-                    }
-                }
-                self.expect_op("}")?;
-            } else {
-                self.skip_balanced()?;
-            }
+            self.skip_balanced()?;
         } else if self.at_op("(") {
             self.skip_balanced()?;
             if self.at_kw("where") {
@@ -561,7 +490,7 @@ impl<'t> Parser<'t> {
         } else {
             self.expect_op(";")?;
         }
-        Ok(ItemKind::TypeDef { name, variants })
+        Ok(ItemKind::TypeDef { name })
     }
 
     fn parse_type_alias(&mut self) -> Result<ItemKind, ParseError> {
@@ -1687,6 +1616,9 @@ impl<'t> Parser<'t> {
                 rest = Some(Box::new(self.parse_expr()?));
                 break;
             }
+            // Field attributes (`#[cfg]`, lint levels) do not change what
+            // the rules see.
+            self.parse_attrs()?;
             // Numeric field (tuple-struct update syntax) or named field.
             let name = match self.peek() {
                 Some(t) if t.kind == TokenKind::Ident => {

@@ -1,10 +1,8 @@
 //! Pin: the AST parser handles every Rust file in this workspace.
 //!
-//! The engine has a token-scan fallback for files the parser cannot
-//! handle, but the fallback only runs the v1 rule set — F3/P2/A2 need the
-//! AST. This test keeps the fallback an escape hatch for *future* syntax,
-//! not a silent coverage hole today: if a language construct lands that
-//! the parser rejects, this fails and the parser grows to match.
+//! A file the parser rejects fails `asyncfl-lint check`; this test catches
+//! the same gap from `cargo test`, over every `.rs` file rather than only
+//! the lint surface, and lists all failures at once.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,7 +66,7 @@ fn every_workspace_file_parses() {
     }
     assert!(
         failures.is_empty(),
-        "parser fell back on {} of {} files:\n{}",
+        "parser rejected {} of {} files:\n{}",
         failures.len(),
         files.len(),
         failures.join("\n")

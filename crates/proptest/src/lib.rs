@@ -12,6 +12,14 @@
 //! dependency rename), so test code reads identically to upstream usage
 //! while the build stays hermetic (no registry access; see DESIGN.md).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::{RngExt, SeedableRng};
 

@@ -16,8 +16,16 @@
 //!   Marsaglia–Tsang gamma, Dirichlet, Zipf, categorical, permutation).
 //!
 //! Determinism contract: all generators are seeded explicitly. This crate
-//! deliberately offers **no** ambient-entropy constructor (see lint rule D2)
-//! and no external-crate fallback (lint rule D3).
+//! deliberately offers **no** ambient-entropy constructor (rule D2 in
+//! `docs/LINTS.md`) and no external-crate fallback (rule D3).
+
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod dist;
 

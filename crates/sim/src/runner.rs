@@ -129,10 +129,13 @@ fn dispatch(
     state: &mut ClientState,
 ) {
     if let Some(handle) = pool {
-        let rng = state.checkout_rng(client).unwrap_or_else(|e| {
-            // lint:allow(P1) -- a double checkout means the engine scheduled one client twice; abort loudly rather than train on the wrong stream
-            panic!("dispatch failed: {e}")
-        });
+        #[expect(
+            clippy::panic,
+            reason = "a double checkout means the engine scheduled one client twice; abort loudly rather than train on the wrong stream"
+        )]
+        let rng = state
+            .checkout_rng(client)
+            .unwrap_or_else(|e| panic!("dispatch failed: {e}"));
         let _ = handle.submit(TrainTask {
             seq,
             client,
@@ -225,9 +228,12 @@ impl Simulation {
     ///
     /// Panics if the configuration is invalid
     /// (see [`SimConfig::validate`]).
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; validate() is the recoverable path"
+    )]
     pub fn new(config: SimConfig) -> Self {
         if let Err(e) = config.validate() {
-            // lint:allow(P1) -- documented constructor contract; validate() is the recoverable path
             panic!("invalid SimConfig: {e}");
         }
         let mut master = StdRng::seed_from_u64(config.seed);
@@ -408,10 +414,13 @@ impl Simulation {
                 let mut state = spawner.spawn(client);
                 let factor = state.factor;
                 let dur = {
-                    let rng = state.rng_mut(client).unwrap_or_else(|e| {
-                        // lint:allow(P1) -- freshly spawned state always has its stream home; a miss is an engine bug
-                        panic!("kickoff: {e}")
-                    });
+                    #[expect(
+                        clippy::panic,
+                        reason = "freshly spawned state always has its stream home; a miss is an engine bug"
+                    )]
+                    let rng = state
+                        .rng_mut(client)
+                        .unwrap_or_else(|e| panic!("kickoff: {e}"));
                     latency.cycle_duration(factor, rng)
                 };
                 dispatch(&mut pool, seq, client, &init_base, &mut state);
@@ -451,10 +460,14 @@ impl Simulation {
                     // Not sampled last cycle: wake up and (maybe) participate.
                     let factor = job.state.factor;
                     let (dur, idle) = {
-                        let rng = job.state.rng_mut(client).unwrap_or_else(|e| {
-                            // lint:allow(P1) -- idle entries never dispatch, so the stream is always home; a miss is an engine bug
-                            panic!("idle wake: {e}")
-                        });
+                        #[expect(
+                            clippy::panic,
+                            reason = "idle entries never dispatch, so the stream is always home; a miss is an engine bug"
+                        )]
+                        let rng = job
+                            .state
+                            .rng_mut(client)
+                            .unwrap_or_else(|e| panic!("idle wake: {e}"));
                         let dur = latency.cycle_duration(factor, rng);
                         (dur, !participates(cfg, rng))
                     };
@@ -481,10 +494,14 @@ impl Simulation {
                 // client's RNG ends up checked back in, in the same state.
                 let honest_delta = match &mut pool {
                     None => {
-                        let mut rng = job.state.checkout_rng(client).unwrap_or_else(|e| {
-                            // lint:allow(P1) -- inline mode never ships the stream away; a miss is an engine bug
-                            panic!("inline training: {e}")
-                        });
+                        #[expect(
+                            clippy::panic,
+                            reason = "inline mode never ships the stream away; a miss is an engine bug"
+                        )]
+                        let mut rng = job
+                            .state
+                            .checkout_rng(client)
+                            .unwrap_or_else(|e| panic!("inline training: {e}"));
                         let delta = train_one(&job.base_params, client, &mut rng);
                         job.state.check_in_rng(rng);
                         delta
@@ -494,8 +511,11 @@ impl Simulation {
                             job.state.check_in_rng(out.rng);
                             out.delta
                         }
+                        #[expect(
+                            clippy::panic,
+                            reason = "worker-pool entry point: a poisoned worker must abort the run loudly rather than hang the channel or continue from corrupt state"
+                        )]
                         Err(e) => {
-                            // lint:allow(P1) -- worker-pool entry point: a poisoned worker must abort the run loudly rather than hang the channel or continue from corrupt state
                             panic!("training worker pool failed: {e}")
                         }
                     },
@@ -524,14 +544,19 @@ impl Simulation {
                 .with_truth_malicious(job.state.malicious);
 
                 // Failure injection: the update may be lost in transit.
-                let dropped = cfg.dropout > 0.0 && {
-                    use asyncfl_rng::RngExt;
-                    let rng = job.state.rng_mut(client).unwrap_or_else(|e| {
-                        // lint:allow(P1) -- the stream was checked back in just above; a miss is an engine bug
-                        panic!("dropout draw: {e}")
-                    });
-                    rng.random::<f64>() < cfg.dropout
-                };
+                let dropped = cfg.dropout > 0.0
+                    && {
+                        use asyncfl_rng::RngExt;
+                        #[expect(
+                            clippy::panic,
+                            reason = "the stream was checked back in just above; a miss is an engine bug"
+                        )]
+                        let rng = job
+                            .state
+                            .rng_mut(client)
+                            .unwrap_or_else(|e| panic!("dropout draw: {e}"));
+                        rng.random::<f64>() < cfg.dropout
+                    };
                 let received = if dropped {
                     None
                 } else {
@@ -584,10 +609,14 @@ impl Simulation {
                 // skips it).
                 let factor = job.state.factor;
                 let (dur, idle) = {
-                    let rng = job.state.rng_mut(client).unwrap_or_else(|e| {
-                        // lint:allow(P1) -- the stream was checked back in above; a miss is an engine bug
-                        panic!("reschedule: {e}")
-                    });
+                    #[expect(
+                        clippy::panic,
+                        reason = "the stream was checked back in above; a miss is an engine bug"
+                    )]
+                    let rng = job
+                        .state
+                        .rng_mut(client)
+                        .unwrap_or_else(|e| panic!("reschedule: {e}"));
                     let dur = latency.cycle_duration(factor, rng);
                     (dur, !participates(cfg, rng))
                 };

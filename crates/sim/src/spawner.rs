@@ -199,7 +199,10 @@ impl ClientSpawner {
     /// [`select_prefix`](asyncfl_data::sampling::select_prefix));
     /// `cache_capacity` bounds resident dataset shards (values below 1 are
     /// clamped to 1).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one constructor argument per spawner parameter; a config struct would only rename them"
+    )]
     pub fn new(
         seed: u64,
         num_clients: usize,

@@ -204,6 +204,10 @@ pub fn run_threaded(
 /// # Panics
 ///
 /// Panics if `config` is invalid.
+#[expect(
+    clippy::panic,
+    reason = "documented entry-point contract; validate() is the recoverable path"
+)]
 pub fn run_threaded_with_sink(
     config: SimConfig,
     filter: Box<dyn UpdateFilter>,
@@ -211,7 +215,6 @@ pub fn run_threaded_with_sink(
     sink: Option<SharedSink>,
 ) -> RunResult {
     if let Err(e) = config.validate() {
-        // lint:allow(P1) -- documented entry-point contract; validate() is the recoverable path
         panic!("invalid SimConfig: {e}");
     }
     let started = Stopwatch::start();
@@ -393,16 +396,22 @@ pub fn run_threaded_with_sink(
         while report_rx.recv().is_ok() {}
     });
 
+    #[expect(
+        clippy::panic,
+        reason = "unreachable: the scope above joined every thread holding a clone"
+    )]
     let server = Arc::try_unwrap(server)
-        // lint:allow(P1) -- unreachable: the scope above joined every thread holding a clone
         .unwrap_or_else(|_| panic!("client threads still hold the server"))
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     let mut eval_model = template.clone();
     eval_model.set_params(server.global());
     let final_accuracy = evaluate(eval_model.as_ref(), &test_data);
+    #[expect(
+        clippy::panic,
+        reason = "unreachable: the scope above joined every thread holding a clone"
+    )]
     let mut history = Arc::try_unwrap(accuracy_history)
-        // lint:allow(P1) -- unreachable: the scope above joined every thread holding a clone
         .unwrap_or_else(|_| panic!("history still shared"))
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);

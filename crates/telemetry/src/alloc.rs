@@ -28,10 +28,11 @@
 //! pins (`tests/determinism.rs`) hold bit-for-bit with the instrumentation
 //! enabled.
 
-// The one unsafe region in the workspace: implementing `GlobalAlloc`
-// requires unsafe fn signatures. Every method delegates directly to
-// `System` and only adds atomic counter updates.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "implementing `GlobalAlloc` requires unsafe fn signatures; every method \
+              delegates directly to `System` and only adds atomic counter updates"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

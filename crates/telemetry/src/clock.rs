@@ -1,7 +1,8 @@
 //! The workspace's single sanctioned wall-clock entry point.
 //!
-//! Lint rule D4 forbids direct `std::time::Instant::now()` outside this
-//! crate, so every timing measurement flows either through an RAII
+//! Rule D4 (`clippy.toml`'s `disallowed-methods`) forbids direct
+//! `std::time::Instant::now()` everywhere but here and [`crate::Span`],
+//! so every timing measurement flows either through an RAII
 //! [`crate::Span`] (preferred — emits a structured event) or through an
 //! explicit [`Stopwatch`] (for harness-level wall clocks like per-experiment
 //! totals, where no sink is in scope). Centralizing the clock keeps the
@@ -33,6 +34,10 @@ impl Stopwatch {
     #[must_use]
     pub fn start() -> Self {
         Self {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D4: this is the sanctioned wall clock every timing reads"
+            )]
             started: Instant::now(),
         }
     }

@@ -319,6 +319,127 @@ pub fn escape_json_into(s: &str, out: &mut String) {
 mod tests {
     use super::*;
 
+    /// Position of `e`'s variant in [`every_event`]'s list. No `_` arm: a
+    /// new variant fails to compile here until it is numbered, and the
+    /// catalogue test then fails until the list holds a sample of it.
+    fn event_index(e: &Event) -> usize {
+        match e {
+            Event::UpdateReceived { .. } => 0,
+            Event::UpdateDiscardedStale { .. } => 1,
+            Event::UpdateDiscardedMalformed { .. } => 2,
+            Event::FilterScore { .. } => 3,
+            Event::AggregationCompleted { .. } => 4,
+            Event::AccuracyCheckpoint { .. } => 5,
+            Event::SpanClosed { .. } => 6,
+            Event::CounterAdd { .. } => 7,
+            Event::GaugeSample { .. } => 8,
+        }
+    }
+
+    /// The highest index [`event_index`] returns.
+    const LAST_EVENT_INDEX: usize = 8;
+
+    fn every_event() -> Vec<Event> {
+        vec![
+            Event::UpdateReceived {
+                client: 0,
+                round: 0,
+                staleness: 0,
+            },
+            Event::UpdateDiscardedStale {
+                client: 0,
+                round: 0,
+                staleness: 0,
+            },
+            Event::UpdateDiscardedMalformed {
+                client: 0,
+                round: 0,
+                reason: MalformedReason::Dimension,
+            },
+            Event::FilterScore {
+                client: 0,
+                staleness_group: 0,
+                score: 0.0,
+                verdict: Verdict::Accepted,
+            },
+            Event::AggregationCompleted {
+                round: 0,
+                accepted: 0,
+                rejected: 0,
+                deferred: 0,
+            },
+            Event::AccuracyCheckpoint {
+                round: 0,
+                accuracy: 0.0,
+            },
+            Event::SpanClosed {
+                name: "",
+                nanos: 0,
+                alloc_bytes: 0,
+                peak_live_bytes: 0,
+            },
+            Event::CounterAdd { name: "", delta: 0 },
+            Event::GaugeSample { name: "", value: 0 },
+        ]
+    }
+
+    /// [`event_index`]'s device for [`MalformedReason`].
+    fn reason_index(r: &MalformedReason) -> usize {
+        match r {
+            MalformedReason::Dimension => 0,
+            MalformedReason::NonFiniteNorm => 1,
+            MalformedReason::FutureRound => 2,
+        }
+    }
+
+    /// The highest index [`reason_index`] returns.
+    const LAST_REASON_INDEX: usize = 2;
+
+    const EVERY_REASON: [MalformedReason; 3] = [
+        MalformedReason::Dimension,
+        MalformedReason::NonFiniteNorm,
+        MalformedReason::FutureRound,
+    ];
+
+    /// `docs/OBSERVABILITY.md` is the event catalogue trace consumers read:
+    /// every kind tag and every malformed-report reason a trace can carry
+    /// has a backticked entry there.
+    #[test]
+    fn every_event_kind_and_malformed_reason_is_documented() {
+        let events = every_event();
+        let indices: Vec<usize> = events.iter().map(event_index).collect();
+        assert_eq!(
+            indices,
+            (0..=LAST_EVENT_INDEX).collect::<Vec<_>>(),
+            "every_event() must hold one sample per variant, in event_index order"
+        );
+        let indices: Vec<usize> = EVERY_REASON.iter().map(reason_index).collect();
+        assert_eq!(
+            indices,
+            (0..=LAST_REASON_INDEX).collect::<Vec<_>>(),
+            "EVERY_REASON must hold each reason once, in reason_index order"
+        );
+
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/OBSERVABILITY.md");
+        let doc = std::fs::read_to_string(&path).expect("docs/OBSERVABILITY.md must exist");
+        let mut missing: Vec<String> = events
+            .iter()
+            .map(|e| format!("`{}`", e.kind()))
+            .filter(|tag| !doc.contains(tag.as_str()))
+            .collect();
+        missing.extend(
+            EVERY_REASON
+                .iter()
+                .map(|r| format!("`\"{}\"`", r.as_str()))
+                .filter(|tag| !doc.contains(tag.as_str())),
+        );
+        assert!(
+            missing.is_empty(),
+            "docs/OBSERVABILITY.md has no entry for {missing:?}"
+        );
+    }
+
     fn escaped(s: &str) -> String {
         let mut out = String::new();
         escape_json_into(s, &mut out);

@@ -29,8 +29,8 @@
 //!   source for per-span `alloc_bytes` and the bench `peak_rss_estimate`
 //!   probe.
 //! * [`clock::Stopwatch`] — the single sanctioned direct wall-clock for
-//!   harness-level timing (lint rule D4 forbids bare `Instant::now()`
-//!   elsewhere).
+//!   harness-level timing (rule D4, a `clippy.toml` entry, forbids bare
+//!   `Instant::now()` elsewhere).
 //!
 //! The crate deliberately has **zero dependencies** so every other crate in
 //! the workspace can depend on it without build-graph consequences.
@@ -65,6 +65,13 @@
 // signatures) behind a scoped `allow` with a safety comment.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod alloc;
 pub mod clock;

@@ -62,6 +62,10 @@ impl<'a> Span<'a> {
         Self {
             armed: sink.map(|sink| Armed {
                 sink,
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "D4: spans time through the sanctioned clock module's `Instant`"
+                )]
                 started: Instant::now(),
                 alloc_bytes_at_start: alloc::allocated_bytes(),
             }),

@@ -681,7 +681,13 @@ pub fn sgd_momentum_step(
 /// supports. The `unsafe` here is exactly the `#[target_feature]` calling
 /// contract, discharged by the cached runtime detection; no pointers are
 /// touched.
-#[allow(unsafe_code)]
+#[cfg_attr(
+    target_arch = "x86_64",
+    expect(
+        unsafe_code,
+        reason = "calling `#[target_feature]` wrappers after runtime detection"
+    )
+)]
 mod dispatch {
     use super::*;
 

@@ -38,10 +38,17 @@
 // `deny` rather than `forbid`: the one sanctioned exception is the
 // `kernels::dispatch` module, whose `#[target_feature]` wrappers need
 // `unsafe` calls for the runtime ISA dispatch (see its module docs). It
-// carries a scoped `#[allow(unsafe_code)]`; everything else stays
+// carries a scoped `#[expect(unsafe_code)]`; everything else stays
 // unsafe-free and any new exception must be argued the same way.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod init;
 pub mod kernels;

@@ -1,5 +1,5 @@
 //! Determinism regression tests — the runtime counterpart of the `D1`/`D2`
-//! lints (`docs/LINTS.md`).
+//! rules (`docs/LINTS.md`).
 //!
 //! AsyncFilter's accept/defer/reject verdicts must be a pure function of
 //! (seed, inputs): the paper's detection-quality tables are only meaningful
