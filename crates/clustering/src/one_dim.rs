@@ -17,7 +17,7 @@
 //! `O(k·n log n)`, and `O(n)` after the sort for `k ≤ 2`. The tie contract
 //! is stated on [`kmeans_1d`].
 
-use asyncfl_tensor::stats::total_order_key;
+use asyncfl_tensor::kernels::total_order_key;
 
 /// Result of an exact 1-D k-means run.
 #[derive(Debug, Clone, PartialEq)]

@@ -83,15 +83,27 @@ impl Aggregator for MeanAggregator {
             .map(|u| u.num_samples as f64 * self.staleness.weight(u.staleness))
             .collect();
         // Accumulate the weighted mean straight from the deltas, with no
-        // per-update copy. A weight sum that is not positive adds nothing.
+        // per-update copy, in the vector that becomes the next model. A
+        // weight sum that is not positive adds nothing. Each coordinate is
+        // `g + (((0.0 + α₁δ₁) + α₂δ₂) + …)`, bit for bit the separate mean
+        // vector added to `global`: the first term is written as the
+        // `0.0 + α·δ` an axpy onto zeros stores, and `next += global` adds
+        // `1.0·g = g`. That saves a model-sized allocation and a sweep.
         let total = sum_seq(weights.iter().copied());
-        let mut mean = Vector::zeros(global.len());
-        if total > 0.0 {
-            for (u, &w) in updates.iter().zip(&weights) {
-                mean.axpy(w / total, &u.delta);
-            }
+        let mut terms = updates
+            .iter()
+            .zip(&weights)
+            .filter(|_| total > 0.0)
+            .map(|(u, &w)| (w / total, &u.delta));
+        let mut next = match terms.next() {
+            Some((alpha, delta)) => delta.map(|d| 0.0 + alpha * d),
+            None => Vector::zeros(global.len()),
+        };
+        for (alpha, delta) in terms {
+            next.axpy(alpha, delta);
         }
-        global + &mean
+        next += global;
+        next
     }
 }
 
@@ -321,6 +333,63 @@ mod tests {
         let out = run(MeanAggregator::new(), &updates, &g);
         assert_eq!(out.as_slice(), &[12.0, 11.0]);
         assert_eq!(MeanAggregator::new().name(), "mean");
+    }
+
+    /// The mean aggregate accumulates into the next model, where it used
+    /// to build a separate mean vector and return `&global + &mean`. Both
+    /// must agree bit for bit: with sample and staleness weights, and with
+    /// a weight total of zero, where each coordinate is `g + 0.0` and a
+    /// `-0.0` in the global model becomes `+0.0`.
+    #[test]
+    fn mean_is_bit_identical_to_the_separate_mean_vector() {
+        let dim = 1_030;
+        // Every 17th coordinate is `-0.0` in the global model and in every
+        // delta, where only the `+0.0` seed of the mean tells the sum's sign.
+        let value = |i: usize, seed: usize| match (i % 17, (i + seed) % 9) {
+            (5, _) | (_, 0) => -0.0,
+            (_, 1) => 0.0,
+            (_, 2) => f64::MIN_POSITIVE / 8.0,
+            (_, 3) => -1e300,
+            _ => ((i * 7 + seed) as f64 * 0.37).sin(),
+        };
+        let global = Vector::from_fn(dim, |i| value(i, 4));
+        let updates: Vec<ClientUpdate> = (0..5)
+            .map(|k| {
+                let delta: Vec<f64> = (0..dim).map(|i| value(i, k)).collect();
+                upd(k, k as u64, &delta, 3 + k)
+            })
+            .collect();
+        let zero_weight: Vec<ClientUpdate> = updates
+            .iter()
+            .map(|u| {
+                let mut u = u.clone();
+                u.num_samples = 0;
+                u
+            })
+            .collect();
+        for mut rule in [
+            MeanAggregator::new(),
+            MeanAggregator::with_polynomial_staleness(0.5),
+        ] {
+            for batch in [&updates, &zero_weight] {
+                let weights: Vec<f64> = batch
+                    .iter()
+                    .map(|u| u.num_samples as f64 * rule.staleness.weight(u.staleness))
+                    .collect();
+                let total = sum_seq(weights.iter().copied());
+                let mut mean = Vector::zeros(dim);
+                if total > 0.0 {
+                    for (u, &w) in batch.iter().zip(&weights) {
+                        mean.axpy(w / total, &u.delta);
+                    }
+                }
+                let want = &global + &mean;
+                let got = rule.aggregate(batch, &global);
+                let bits =
+                    |v: &Vector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "total {total}");
+            }
+        }
     }
 
     #[test]

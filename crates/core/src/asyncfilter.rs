@@ -30,7 +30,7 @@
 use crate::update::{ClientUpdate, FilterContext, FilterOutcome, UpdateFilter};
 use asyncfl_clustering::one_dim::kmeans_1d;
 use asyncfl_telemetry::Span;
-use asyncfl_tensor::kernels::sum_seq;
+use asyncfl_tensor::kernels::{lerp_chain_norm_squared, sum_seq};
 use asyncfl_tensor::Vector;
 use std::collections::BTreeMap;
 
@@ -250,11 +250,12 @@ where
 struct GroupState {
     ma: Vector,
     absorbed: u64,
-    /// Cached `‖ma‖²`, refreshed after every absorb. On both paths (cold
-    /// adoption, fused lerp+reduce) it is bit-identical to
-    /// `ma.norm_squared()` recomputed fresh (same data, same kernel), so
-    /// eq. 6 distances built from it match the uncached path exactly
-    /// (DESIGN.md §10).
+    /// Cached `‖ma‖²`, refreshed once per pass that absorbs into the group,
+    /// from the pass's last absorb. It is bit-identical to
+    /// `ma.norm_squared()` recomputed fresh (same data, same lane order),
+    /// so eq. 6 distances built from it match the uncached path exactly
+    /// (DESIGN.md §10). Nothing reads it between two absorbs of one pass:
+    /// the pass scores every update before it absorbs any.
     norm_sq: f64,
 }
 
@@ -273,6 +274,9 @@ struct Scratch {
     cross: Vec<f64>,
     /// Non-top-cluster scores feeding the separation gate's median.
     rest: Vec<f64>,
+    /// Indices of the updates a pass absorbs, grouped by staleness group
+    /// and in buffer order within each group.
+    absorbs: Vec<usize>,
 }
 
 /// The AsyncFilter server module.
@@ -349,39 +353,60 @@ impl AsyncFilter {
         staleness / self.config.staleness_bucket
     }
 
-    /// Absorbs one update into its group estimate (eq. 5) and refreshes the
-    /// cached `‖MA‖²` (DESIGN.md §10):
+    /// Absorbs `finite[i]` for every `i` in `absorbs` into its group's
+    /// estimate (eq. 5), in buffer order within each group, and refreshes
+    /// each touched group's cached `‖MA‖²` (DESIGN.md §10). Leaves
+    /// `absorbs` empty, its capacity kept for the next pass.
     ///
-    /// 1. **Adopt** — EMA cold start copies `ω` into the estimate, so the
-    ///    update's cached `‖ω‖²` (same kernel, same data) *is* the new norm.
+    /// A group's absorbs are one [`lerp_chain_norm_squared`] sweep over its
+    /// estimate: block by block, every absorb in turn, so the estimate is
+    /// read and written once per pass rather than once per update. Each
+    /// coordinate takes the same steps as absorbing the updates one at a
+    /// time, so the estimate is bit-identical to doing that:
+    ///
+    /// 1. **Adopt** — an EMA group's first absorb ever copies `ω`. The
+    ///    cached norm, when this is the pass's last absorb into the group,
+    ///    then equals the update's cached `‖ω‖²` (same data, same lanes).
     ///    Robbins–Monro deliberately keeps lerping on its cold start: its
     ///    blend `0·m + 1·ω` can flip a `−0.0` coordinate to `+0.0`, so
     ///    adopting would not be bit-identical to the historical behavior.
-    /// 2. **Fused** (warm path) — one pass over the estimate that lerps and
-    ///    accumulates `‖·‖²` together, bit-identical to the historical
-    ///    lerp-then-reduce two-pass by construction.
+    /// 2. **Lerp** — `MA ← (1−t)·MA + t·ω`, with `t` from the group's
+    ///    absorb count at that update.
     ///
-    /// `params_norm_sq` is the caller's cached `‖ω‖²` (bit-exact, from the
-    /// same reduction kernel).
-    fn absorb(&mut self, key: u64, params: &Vector, params_norm_sq: f64) {
-        let dim = params.len();
+    /// Only the group's last absorb accumulates `‖MA‖²`.
+    fn absorb(&mut self, finite: &[ClientUpdate], absorbs: &mut Vec<usize>) {
+        let bucket = self.config.staleness_bucket;
         let ma_mode = self.config.ma_mode;
-        let state = self.groups.entry(key).or_insert_with(|| GroupState {
-            ma: Vector::zeros(dim),
-            absorbed: 0,
-            norm_sq: 0.0,
-        });
-        let t = match ma_mode {
-            MovingAverageMode::RobbinsMonro => 1.0 / (state.absorbed as f64 + 1.0),
-            MovingAverageMode::Ema { beta } => beta,
-        };
-        if state.absorbed == 0 && matches!(ma_mode, MovingAverageMode::Ema { .. }) {
-            state.ma.copy_from(params);
-            state.norm_sq = params_norm_sq;
-        } else {
-            state.norm_sq = state.ma.lerp_norm_squared(params, t);
+        let key_of = |i: usize| finite.get(i).map_or(0, |u| u.staleness / bucket);
+        // (key, index) orders groups ascending and keeps buffer order
+        // inside each; an unstable sort on a unique key allocates nothing.
+        absorbs.sort_unstable_by_key(|&i| (key_of(i), i));
+        for run in absorbs.chunk_by(|&a, &b| key_of(a) == key_of(b)) {
+            let members = run.iter().filter_map(|&i| finite.get(i));
+            let Some(first) = members.clone().next() else {
+                continue;
+            };
+            let state = self
+                .groups
+                .entry(first.staleness / bucket)
+                .or_insert_with(|| GroupState {
+                    ma: Vector::zeros(first.params.len()),
+                    absorbed: 0,
+                    norm_sq: 0.0,
+                });
+            let before = state.absorbed;
+            let steps = members.clone().zip(before..).map(|(u, absorbed)| {
+                let t = match ma_mode {
+                    MovingAverageMode::RobbinsMonro => Some(1.0 / (absorbed as f64 + 1.0)),
+                    MovingAverageMode::Ema { .. } if absorbed == 0 => None,
+                    MovingAverageMode::Ema { beta } => Some(beta),
+                };
+                (u.params.as_slice(), t)
+            });
+            state.norm_sq = lerp_chain_norm_squared(state.ma.as_mut_slice(), steps);
+            state.absorbed += run.len() as u64;
         }
-        state.absorbed += 1;
+        absorbs.clear();
     }
 
     /// Bootstrap estimates for groups without history, keyed ascending.
@@ -439,7 +464,7 @@ impl AsyncFilter {
     /// its distances to the estimates did, alone or summed into its own
     /// eq. 7 denominator. Shared denominators (`Global`, `WithinGroup`)
     /// cannot be charged to one update; [`root_sum_sq`] rescales them.
-    fn measure(&self, finite: &[ClientUpdate], scr: &mut Scratch) -> u64 {
+    fn measure(&self, finite: &[ClientUpdate], scr: &mut Scratch, ctx: &FilterContext<'_>) -> u64 {
         let n = finite.len();
         // Eq. 4: per-update staleness-bucket keys plus the sorted unique
         // key list, in reused buffers rather than a per-pass map.
@@ -456,7 +481,11 @@ impl AsyncFilter {
         // Estimates to score against (pre-update; see module docs): live
         // groups are borrowed in place, history-less groups bootstrapped
         // from the current buffer. `ests` is aligned with `scr.uniq`.
-        let boot = self.bootstrap_estimates(&scr.uniq, &scr.keys, finite);
+        let boot = {
+            let fresh = scr.uniq.iter().any(|k| !self.groups.contains_key(k));
+            let _span = fresh.then(|| Span::start(ctx.sink, "bootstrap"));
+            self.bootstrap_estimates(&scr.uniq, &scr.keys, finite)
+        };
         let mut ests: Vec<(&Vector, f64)> = Vec::with_capacity(scr.uniq.len());
         {
             let mut bi = 0;
@@ -570,16 +599,17 @@ impl UpdateFilter for AsyncFilter {
         loop {
             if finite.len() < self.config.min_updates {
                 // Too few points to cluster meaningfully; absorb and accept.
-                for u in &finite {
-                    let key = self.group_key(u.staleness);
-                    self.absorb(key, &u.params, u.params_norm_squared());
+                scr.absorbs.extend(0..finite.len());
+                {
+                    let _span = Span::start(ctx.sink, "absorb");
+                    self.absorb(&finite, &mut scr.absorbs);
                 }
                 outcome.accepted.append(&mut finite);
                 self.scratch = scr;
                 self.emit_counters(ctx);
                 return outcome;
             }
-            self.distances_computed += self.measure(&finite, &mut scr);
+            self.distances_computed += self.measure(&finite, &mut scr, ctx);
             if scr.dist_sq.iter().all(|d| d.is_finite()) {
                 break;
             }
@@ -720,12 +750,17 @@ impl UpdateFilter for AsyncFilter {
         // when the separation gate tolerates them for aggregation, letting
         // them into the moving average would poison the reference and erase
         // the very separation the gate is waiting for.
-        for (u, &a) in finite.iter().zip(&clustering.assignments) {
-            if !(degenerate || a != reject_cluster) {
-                continue;
-            }
-            let key = self.group_key(u.staleness);
-            self.absorb(key, &u.params, u.params_norm_squared());
+        scr.absorbs.extend(
+            clustering
+                .assignments
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| degenerate || a != reject_cluster)
+                .map(|(i, _)| i),
+        );
+        {
+            let _span = Span::start(ctx.sink, "absorb");
+            self.absorb(&finite, &mut scr.absorbs);
         }
 
         self.scratch = scr;
@@ -1244,6 +1279,95 @@ mod tests {
                         "cached ‖MA‖² drifted for group {key} in round {round} ({ma_mode:?})"
                     );
                 }
+            }
+        }
+    }
+
+    /// The per-update absorb the grouped sweep replaced: an EMA group's
+    /// first absorb adopts `ω` and its cached norm; every other absorb is
+    /// one fused lerp over the whole estimate, in buffer order.
+    fn absorb_one_at_a_time(
+        groups: &mut BTreeMap<u64, GroupState>,
+        ma_mode: MovingAverageMode,
+        u: &ClientUpdate,
+    ) {
+        let state = groups.entry(u.staleness).or_insert_with(|| GroupState {
+            ma: Vector::zeros(u.params.len()),
+            absorbed: 0,
+            norm_sq: 0.0,
+        });
+        let t = match ma_mode {
+            MovingAverageMode::RobbinsMonro => 1.0 / (state.absorbed as f64 + 1.0),
+            MovingAverageMode::Ema { beta } => beta,
+        };
+        if state.absorbed == 0 && matches!(ma_mode, MovingAverageMode::Ema { .. }) {
+            state.ma.copy_from(&u.params);
+            state.norm_sq = u.params_norm_squared();
+        } else {
+            state.norm_sq = state.ma.lerp_norm_squared(&u.params, t);
+        }
+        state.absorbed += 1;
+    }
+
+    /// Grouped absorbs against one absorb at a time, under both moving
+    /// averages: a warm group, a fresh group of several (EMA: an adoption
+    /// then lerps) and a fresh singleton (EMA: an adoption only), with
+    /// members interleaved in the buffer and one update left out. The
+    /// estimates, counts and cached norms must match bit for bit.
+    #[test]
+    fn grouped_absorbs_are_bit_identical_to_one_at_a_time() {
+        let dim = 1_030;
+        let value = |d: usize, i: usize, round: usize| match (d + i) % 11 {
+            0 => -0.0,
+            1 => f64::MIN_POSITIVE / 4.0 * if i.is_multiple_of(2) { 1.0 } else { -1.0 },
+            _ => ((d * 13 + i * 7 + round * 3) as f64 * 0.29).sin() * (1.0 + i as f64),
+        };
+        for ma_mode in [
+            MovingAverageMode::default(),
+            MovingAverageMode::RobbinsMonro,
+        ] {
+            let mut f = AsyncFilter::new(AsyncFilterConfig {
+                ma_mode,
+                ..AsyncFilterConfig::default()
+            });
+            let mut reference = BTreeMap::new();
+            // Round 0 warms group 0. Round 1 interleaves warm group 0, a
+            // fresh group 1 and a fresh singleton group 2; update 3 is
+            // not absorbed.
+            let rounds: [&[u64]; 2] = [&[0, 0, 0], &[1, 0, 2, 1, 0, 1, 1, 0]];
+            for (round, stalenesses) in rounds.iter().enumerate() {
+                let updates: Vec<ClientUpdate> = stalenesses
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| {
+                        let params = Vector::from_fn(dim, |d| value(d, i, round));
+                        ClientUpdate::new(i, 0, s, params, 1)
+                    })
+                    .collect();
+                let mut absorbs: Vec<usize> = (0..updates.len()).filter(|&i| i != 3).collect();
+                for &i in &absorbs {
+                    absorb_one_at_a_time(&mut reference, ma_mode, &updates[i]);
+                }
+                f.absorb(&updates, &mut absorbs);
+                assert!(absorbs.is_empty());
+            }
+            assert_eq!(
+                f.groups.keys().collect::<Vec<_>>(),
+                reference.keys().collect::<Vec<_>>()
+            );
+            for (key, want) in &reference {
+                let got = &f.groups[key];
+                let at = format!("group {key} under {ma_mode:?}");
+                assert_eq!(got.absorbed, want.absorbed, "{at}");
+                assert_eq!(got.norm_sq.to_bits(), want.norm_sq.to_bits(), "{at}");
+                assert!(
+                    got.ma
+                        .as_slice()
+                        .iter()
+                        .zip(want.ma.as_slice())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{at}: estimate"
+                );
             }
         }
     }

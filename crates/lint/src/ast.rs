@@ -110,11 +110,6 @@ impl Path {
     pub fn last(&self) -> &str {
         self.segments.last().map(String::as_str).unwrap_or("")
     }
-
-    /// Renders the path as `a::b::c`.
-    pub fn render(&self) -> String {
-        self.segments.join("::")
-    }
 }
 
 /// A type reference, kept as normalized text plus cheap classification.
@@ -443,12 +438,10 @@ pub enum ItemKind {
         /// The defined type's name.
         name: String,
     },
-    /// `type Alias = …;`
+    /// `type Alias = …;` — the aliased type is skipped.
     TypeAlias {
         /// The alias name.
         name: String,
-        /// The aliased type.
-        ty: Option<TypeRef>,
     },
     /// `const`/`static` with optional initializer expression.
     ConstStatic {
@@ -459,10 +452,8 @@ pub enum ItemKind {
         /// Initializer.
         init: Option<Expr>,
     },
-    /// `impl [Trait for] Type { items… }`.
+    /// `impl [Trait for] Type { items… }` — the header is skipped.
     Impl {
-        /// The trait being implemented, if any.
-        trait_path: Option<Path>,
         /// Nested items (methods, consts).
         items: Vec<Item>,
     },
@@ -484,10 +475,9 @@ pub enum ItemKind {
     /// definitions (whose bodies are templates, not code — they are not
     /// linted; see `docs/LINTS.md`).
     Macro(MacroCall),
-    /// `extern crate name;`
-    ExternCrate(String),
-    /// Anything else (`extern` blocks, `impl` with exotic headers the
-    /// parser skipped over, …) — consumed as a balanced token run.
+    /// Anything else (`extern crate`, `extern` blocks, `impl` with exotic
+    /// headers the parser skipped over, …) — consumed as a balanced token
+    /// run.
     Opaque,
 }
 

@@ -330,10 +330,10 @@ impl<'t> Parser<'t> {
             // `extern crate x;` or an `extern { … }` block.
             self.pos += 1;
             if self.eat_kw("crate") {
-                let name = self.expect_ident()?;
+                self.expect_ident()?;
                 self.eat_kw("as").then(|| self.bump());
                 self.expect_op(";")?;
-                ItemKind::ExternCrate(name)
+                ItemKind::Opaque
             } else {
                 if self.peek().is_some_and(|t| t.kind == TokenKind::Str) {
                     self.pos += 1;
@@ -499,13 +499,11 @@ impl<'t> Parser<'t> {
         if self.at_op("<") {
             self.skip_angles()?;
         }
-        let ty = if self.eat_op("=") {
-            Some(self.parse_type_until(&[";"])?)
-        } else {
-            None
-        };
+        if self.eat_op("=") {
+            self.parse_type_until(&[";"])?;
+        }
         self.expect_op(";")?;
-        Ok(ItemKind::TypeAlias { name, ty })
+        Ok(ItemKind::TypeAlias { name })
     }
 
     fn parse_const_static(&mut self) -> Result<ItemKind, ParseError> {
@@ -537,12 +535,10 @@ impl<'t> Parser<'t> {
             self.skip_angles()?;
         }
         self.eat_op("!");
-        // First type (trait or self type).
-        let first = self.parse_type_until(&["for", "where", "{"])?;
-        let mut trait_path = None;
+        // First type (trait or self type), then the self type after `for`.
+        self.parse_type_until(&["for", "where", "{"])?;
         if self.eat_kw("for") {
-            trait_path = path_from_type_text(&first);
-            let _self_ty = self.parse_type_until(&["where", "{"])?;
+            self.parse_type_until(&["where", "{"])?;
         }
         if self.at_kw("where") {
             self.consume_where_clause()?;
@@ -550,7 +546,7 @@ impl<'t> Parser<'t> {
         self.expect_op("{")?;
         let items = self.parse_items(true)?;
         self.expect_op("}")?;
-        Ok(ItemKind::Impl { trait_path, items })
+        Ok(ItemKind::Impl { items })
     }
 
     fn parse_trait(&mut self) -> Result<ItemKind, ParseError> {
@@ -1783,29 +1779,4 @@ fn push_type_text(out: &mut String, t: &Token) {
         out.push(' ');
     }
     out.push_str(text);
-}
-
-/// Extracts a plain path from rendered type text (`asyncfl_core::Filter`
-/// → segments), when the text is just a path.
-fn path_from_type_text(ty: &TypeRef) -> Option<Path> {
-    let base = ty.text.split('<').next().unwrap_or("");
-    if base.is_empty()
-        || !base
-            .chars()
-            .all(|c| c.is_alphanumeric() || c == '_' || c == ':')
-    {
-        return None;
-    }
-    let segments: Vec<String> = base
-        .split("::")
-        .map(str::to_string)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if segments.is_empty() {
-        return None;
-    }
-    Some(Path {
-        segments,
-        span: ty.span,
-    })
 }

@@ -53,10 +53,6 @@ pub struct Comment {
     pub line: u32,
     /// 1-based line the comment ends on (same as `line` for line comments).
     pub end_line: u32,
-    /// Byte offset of the first byte of the comment marker.
-    pub start: u32,
-    /// Byte offset one past the comment's last byte.
-    pub end: u32,
 }
 
 /// Result of lexing one source file.
@@ -119,8 +115,6 @@ pub fn lex(source: &str) -> Lexed {
                     text: chars[start..j].iter().collect(),
                     line,
                     end_line: line,
-                    start: offsets[i],
-                    end: offsets[j],
                 });
                 i = j;
                 continue;
@@ -147,8 +141,6 @@ pub fn lex(source: &str) -> Lexed {
                     text: chars[start..end].iter().collect(),
                     line: start_line,
                     end_line: line,
-                    start: offsets[i],
-                    end: offsets[j],
                 });
                 i = j;
                 continue;
@@ -581,7 +573,7 @@ mod tests {
             assert!(t.end >= t.start);
         }
         let c = &lexed.comments[0];
-        assert_eq!(&src[c.start as usize..c.end as usize], "// note");
+        assert_eq!(c.text, " note");
         assert_eq!(c.line, 1);
         assert_eq!(c.end_line, 1);
     }

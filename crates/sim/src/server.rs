@@ -826,8 +826,8 @@ mod tests {
         )));
         assert_eq!(
             mem.count_kind("span_closed"),
-            3,
-            "filter + kmeans + aggregate"
+            5,
+            "filter + bootstrap + kmeans + absorb + aggregate"
         );
     }
 

@@ -31,13 +31,22 @@
 //! ([`adam_step`], [`sgd_momentum_step`]) are element-wise: each
 //! coordinate runs the same formula as the scalar loop it replaces.
 //!
+//! [`lerp_chain_norm_squared`] applies a staleness group's absorbs to its
+//! estimate in one blocked sweep, and the trimmed-mean bootstrap sorts
+//! columns through a branch-free sorting network (`trimmed_mean_network`,
+//! reached through [`crate::stats::trimmed_mean_vector`]). Both keep the
+//! per-element order contract of the per-update and comparison-sort code
+//! they replace.
+//!
 //! # SIMD-width dispatch
 //!
 //! The distance kernels (`dot`, `norm_squared`, `distance_squared`,
-//! `lerp_norm_squared`), the three GEMMs and the two optimizer steps go
-//! through runtime ISA dispatch on x86-64: the portable `*_impl` body is
-//! compiled once per instruction-set level (baseline / AVX2 / AVX-512F)
-//! via `#[target_feature]` wrappers, and the level is detected once and
+//! `lerp_norm_squared`), the block kernels of [`lerp_chain_norm_squared`]
+//! (`norm_acc`, `lerp`, `lerp_norm_acc`), the sorting network, the three
+//! GEMMs and the two optimizer steps go through runtime ISA dispatch on
+//! x86-64: the portable `*_impl` body is compiled once per
+//! instruction-set level (baseline / AVX2 / AVX-512F) via
+//! `#[target_feature]` wrappers, and the level is detected once and
 //! cached. This changes *register width only* — the accumulator layout,
 //! the per-element operation order and the fixed `reduce` tree are the
 //! same source code in every wrapper, rustc emits no FMA contraction or
@@ -88,20 +97,28 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     dispatch::dot(dispatch::level(), a, b)
 }
 
-/// Portable body of [`norm_squared`].
+/// [`norm_squared`]'s lane and tail accumulators, continued over `a`:
+/// a chunk's squares add to the lanes, a remainder's to the tail. A
+/// sweep split at multiples of [`LANES`] accumulates exactly what one
+/// call over the whole slice would.
 #[inline(always)]
-fn norm_squared_impl(a: &[f64]) -> f64 {
-    let mut acc = [0.0_f64; LANES];
+fn norm_acc_impl(a: &[f64], acc: &mut [f64; LANES], tail: &mut f64) {
     let mut ca = a.chunks_exact(LANES);
     for xa in &mut ca {
         for l in 0..LANES {
             acc[l] += xa[l] * xa[l];
         }
     }
-    let mut tail = 0.0;
     for x in ca.remainder() {
-        tail += x * x;
+        *tail += x * x;
     }
+}
+
+/// Portable body of [`norm_squared`].
+#[inline(always)]
+fn norm_squared_impl(a: &[f64]) -> f64 {
+    let (mut acc, mut tail) = ([0.0_f64; LANES], 0.0);
+    norm_acc_impl(a, &mut acc, &mut tail);
     reduce(acc, tail)
 }
 
@@ -138,11 +155,20 @@ pub(crate) fn distance_squared(a: &[f64], b: &[f64]) -> f64 {
     dispatch::distance_squared(dispatch::level(), a, b)
 }
 
-/// Portable body of [`lerp_norm_squared`].
+/// `a ← (1−t)·a + t·b` element-wise, `Vector::lerp`'s formula.
 #[inline(always)]
-fn lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64 {
+fn lerp_impl(a: &mut [f64], b: &[f64], t: f64) {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0_f64; LANES];
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = (1.0 - t) * *x + t * y;
+    }
+}
+
+/// [`lerp_impl`] that also continues [`norm_acc_impl`]'s accumulators
+/// over the new values, in the same traversal.
+#[inline(always)]
+fn lerp_norm_acc_impl(a: &mut [f64], b: &[f64], t: f64, acc: &mut [f64; LANES], tail: &mut f64) {
+    debug_assert_eq!(a.len(), b.len());
     let mut ca = a.chunks_exact_mut(LANES);
     let mut cb = b.chunks_exact(LANES);
     for (xa, xb) in (&mut ca).zip(&mut cb) {
@@ -152,12 +178,18 @@ fn lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64 {
             acc[l] += v * v;
         }
     }
-    let mut tail = 0.0;
     for (x, y) in ca.into_remainder().iter_mut().zip(cb.remainder()) {
         let v = (1.0 - t) * *x + t * y;
         *x = v;
-        tail += v * v;
+        *tail += v * v;
     }
+}
+
+/// Portable body of [`lerp_norm_squared`].
+#[inline(always)]
+fn lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64 {
+    let (mut acc, mut tail) = ([0.0_f64; LANES], 0.0);
+    lerp_norm_acc_impl(a, b, t, &mut acc, &mut tail);
     reduce(acc, tail)
 }
 
@@ -173,6 +205,211 @@ fn lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64 {
 #[inline]
 pub(crate) fn lerp_norm_squared(a: &mut [f64], b: &[f64], t: f64) -> f64 {
     dispatch::lerp_norm_squared(dispatch::level(), a, b, t)
+}
+
+/// Coordinates per block of [`lerp_chain_norm_squared`]'s sweep: 4 KiB of
+/// `f64`s, so the block being written stays in L1 while every source
+/// streams through it once. A multiple of [`LANES`], so a sweep split into
+/// blocks leaves every element in the accumulator lane it had.
+const CHAIN_BLOCK: usize = 512;
+const _: () = assert!(CHAIN_BLOCK.is_multiple_of(LANES));
+
+/// One step of [`lerp_chain_norm_squared`]: the source `b` and the rate
+/// `t` of `a ← (1−t)·a + t·b`, or `None` for the copy `a ← b`.
+pub type LerpStep<'a> = (&'a [f64], Option<f64>);
+
+/// Applies `steps` to `a` in order and returns the final `‖a‖²`.
+///
+/// Bit-identical to taking the steps one at a time over the whole slice
+/// (each lerp a fused lerp-and-norm, `Vector::lerp_norm_squared`, each
+/// copy a `copy_from_slice`) and reading the norm after the last one;
+/// with no steps, `a` is unchanged and the result is its
+/// `Vector::norm_squared`. Every coordinate sees the same operations in
+/// the same order, and the norm accumulates in `norm_squared`'s
+/// lane-and-tail order. The sweep runs block by block instead: each block
+/// of 512 coordinates takes every step before the next block is touched,
+/// so `a` is read and written once rather than once per step, and only
+/// the last step accumulates a norm.
+///
+/// # Panics
+///
+/// Panics if a source's length differs from `a`'s.
+pub fn lerp_chain_norm_squared<'a, I>(a: &mut [f64], steps: I) -> f64
+where
+    I: Iterator<Item = LerpStep<'a>> + Clone,
+{
+    lerp_chain_at(dispatch::level(), a, steps)
+}
+
+/// [`lerp_chain_norm_squared`] with its block kernels run at `level`.
+fn lerp_chain_at<'a, I>(level: u8, a: &mut [f64], steps: I) -> f64
+where
+    I: Iterator<Item = LerpStep<'a>> + Clone,
+{
+    let len = a.len();
+    let count = steps.clone().count();
+    assert!(
+        steps.clone().all(|(b, _)| b.len() == len),
+        "lerp_chain_norm_squared: a source's length differs from {len}"
+    );
+    let (mut acc, mut tail) = ([0.0_f64; LANES], 0.0);
+    if count == 0 {
+        dispatch::norm_acc(level, a, &mut acc, &mut tail);
+    }
+    for (blk, block) in a.chunks_mut(CHAIN_BLOCK).enumerate() {
+        let at = blk * CHAIN_BLOCK;
+        for (k, (b, t)) in steps.clone().enumerate() {
+            let b = &b[at..at + block.len()];
+            let last = k + 1 == count;
+            match t {
+                Some(t) if last => dispatch::lerp_norm_acc(level, block, b, t, &mut acc, &mut tail),
+                Some(t) => dispatch::lerp(level, block, b, t),
+                None => {
+                    block.copy_from_slice(b);
+                    if last {
+                        dispatch::norm_acc(level, block, &mut acc, &mut tail);
+                    }
+                }
+            }
+        }
+    }
+    reduce(acc, tail)
+}
+
+/// `f64::total_cmp`'s sort key: flipping the magnitude bits of negative
+/// values makes signed integer order equal the IEEE total order. The map is
+/// a bijection (its own inverse on the bits), and values equal under
+/// `total_cmp` are bitwise equal, so any order statistic or sorted run of
+/// keys maps back to exactly the values a `total_cmp` sort would yield.
+#[inline(always)]
+pub fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Inverse of [`total_order_key`].
+#[inline(always)]
+pub(crate) fn from_total_order_key(key: i64) -> f64 {
+    f64::from_bits(total_order_key(f64::from_bits(key as u64)) as u64)
+}
+
+/// Comparators of Batcher's odd–even merge sort over `n` positions, in
+/// network order. Each pair `(i, j)` has `i < j` and leaves the smaller
+/// key at `i`.
+///
+/// This is the network for the next power of two `P ≥ n` with every
+/// comparator that touches a position `≥ n` dropped. Padding the column
+/// with `i64::MAX` to `P` would make those comparators no-ops: a padded
+/// position only ever meets a key no larger than its `MAX` at a lower
+/// position, so it keeps the `MAX` and its partner keeps its key. The
+/// first `n` positions therefore sort exactly as the padded network sorts
+/// them. `n = 32` takes 191 comparators.
+fn merge_sort_network(n: usize) -> Vec<(u32, u32)> {
+    let mut pairs = Vec::new();
+    let mut p = 1;
+    while p < n {
+        let mut k = p;
+        while k >= 1 {
+            let mut j = k % p;
+            while j + k < n {
+                for i in j..(j + k).min(n - k) {
+                    if i / (2 * p) == (i + k) / (2 * p) {
+                        pairs.push((i as u32, (i + k) as u32));
+                    }
+                }
+                j += 2 * k;
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+    pairs
+}
+
+/// Portable body of [`trimmed_mean_network`]. Per block of [`LANES`]
+/// coordinates: gathers each vector's keys into its row of `rows` (one
+/// lane per coordinate), sorts every lane at once through `network` with
+/// lane-wise `min`/`max` (no branch), and sums each lane's kept middle in
+/// ascending key order from `-0.0`, as [`sum_seq`] does. A short last
+/// block leaves stale keys in its unused lanes and drops their sums.
+#[inline(always)]
+fn trimmed_mean_network_impl(
+    out: &mut [f64],
+    vectors: &[&[f64]],
+    network: &[(u32, u32)],
+    rows: &mut [[i64; LANES]],
+    trim: usize,
+) {
+    let kept = rows.len() - 2 * trim;
+    for (blk, outs) in out.chunks_mut(LANES).enumerate() {
+        let at = blk * LANES;
+        for (row, v) in rows.iter_mut().zip(vectors) {
+            for (key, &x) in row.iter_mut().zip(&v[at..at + outs.len()]) {
+                *key = total_order_key(x);
+            }
+        }
+        for &(i, j) in network {
+            let (below, from_j) = rows.split_at_mut(j as usize);
+            let (lo, hi) = (&mut below[i as usize], &mut from_j[0]);
+            // `min`/`max` spelled as a masked swap: LLVM vectorizes this
+            // form (a compare and three xors per register) at AVX2 and
+            // AVX-512, and leaves `i64::min`/`max` as scalar `cmov`s.
+            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                let (x, y) = (*a, *b);
+                let swap = (x ^ y) & -i64::from(y < x);
+                *a = x ^ swap;
+                *b = y ^ swap;
+            }
+        }
+        let mut sums = [-0.0_f64; LANES];
+        for row in &rows[trim..trim + kept] {
+            for l in 0..LANES {
+                sums[l] += from_total_order_key(row[l]);
+            }
+        }
+        for (o, s) in outs.iter_mut().zip(sums) {
+            *o = s / kept as f64;
+        }
+    }
+}
+
+/// ISA levels for tests to run a kernel at: every level up to the one
+/// the host runs.
+#[cfg(test)]
+pub(crate) fn isa_levels() -> std::ops::RangeInclusive<u8> {
+    0..=dispatch::level()
+}
+
+/// Coordinate-wise trimmed mean of `vectors` into `out`, by a sorting
+/// network: `out[d]` is the [`sum_seq`] of column `d`'s values in
+/// ascending `total_cmp` order with the `trim` smallest and `trim`
+/// largest dropped, over the count kept. The sorted middle is the same
+/// run of keys a comparison sort leaves, so the sum sees the same values
+/// in the same order, bit for bit.
+///
+/// A Batcher network ([`merge_sort_network`]) costs `O(n log² n)`
+/// comparators per [`LANES`] coordinates, each one vector `min` and
+/// `max`. It beats selection only while `n` is small; the caller picks.
+///
+/// # Panics
+///
+/// Panics if `vectors` is empty, `2 * trim >= vectors.len()`, or a vector's
+/// length differs from `out`'s.
+pub(crate) fn trimmed_mean_network(out: &mut [f64], vectors: &[&[f64]], trim: usize) {
+    trimmed_mean_network_at(dispatch::level(), out, vectors, trim);
+}
+
+/// [`trimmed_mean_network`] run at `level`.
+pub(crate) fn trimmed_mean_network_at(level: u8, out: &mut [f64], vectors: &[&[f64]], trim: usize) {
+    let n = vectors.len();
+    assert!(
+        2 * trim < n && vectors.iter().all(|v| v.len() == out.len()),
+        "trimmed_mean_network: {n} vectors, trim {trim}, or a length other than {}",
+        out.len()
+    );
+    let network = merge_sort_network(n);
+    let mut rows = vec![[0_i64; LANES]; n];
+    dispatch::trimmed_mean_network(level, out, vectors, &network, &mut rows, trim);
 }
 
 /// Plain sum `Σ aᵢ`.
@@ -759,6 +996,10 @@ mod dispatch {
         norm_squared => norm_squared_impl(a: &[f64]) -> f64;
         distance_squared => distance_squared_impl(a: &[f64], b: &[f64]) -> f64;
         lerp_norm_squared => lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64;
+        norm_acc => norm_acc_impl(a: &[f64], acc: &mut [f64; LANES], tail: &mut f64);
+        lerp => lerp_impl(a: &mut [f64], b: &[f64], t: f64);
+        lerp_norm_acc => lerp_norm_acc_impl(a: &mut [f64], b: &[f64], t: f64, acc: &mut [f64; LANES], tail: &mut f64);
+        trimmed_mean_network => trimmed_mean_network_impl(out: &mut [f64], vectors: &[&[f64]], network: &[(u32, u32)], rows: &mut [[i64; LANES]], trim: usize);
         gemm_nt => gemm_nt_impl(out: &mut [f64], a: &[f64], b: &[f64], bt: &mut [f64], shape: (usize, usize, usize));
         gemm_nn => gemm_nn_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize);
         gemm_tn_acc => gemm_tn_acc_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize);
@@ -853,11 +1094,6 @@ mod tests {
         }
     }
 
-    /// ISA levels to check: every level up to the one the host runs.
-    fn levels() -> std::ops::RangeInclusive<u8> {
-        0..=dispatch::level()
-    }
-
     /// Bit equality, except that any two NaNs match: NaN payloads may
     /// legitimately differ between operand orders of one commutative op.
     fn same_bits(got: f64, want: f64) -> bool {
@@ -896,7 +1132,7 @@ mod tests {
         // change speed, never a single bit.
         for n in [0usize, 1, 7, 8, 9, 16, 63, 64, 65, 330, 1001] {
             let (a, b) = data(n);
-            for level in levels() {
+            for level in isa_levels() {
                 let at = format!("n={n} level={level}");
                 assert_eq!(
                     dispatch::dot(level, &a, &b).to_bits(),
@@ -989,7 +1225,7 @@ mod tests {
                         let mut nt = vec![f64::NAN; m * n];
                         gemm_nt(&mut nt, &a, &b_nk, m, k, n, &mut panel);
                         assert_same_bits(&nt, &nt_want, &format!("gemm_nt {shape}"));
-                        for level in levels() {
+                        for level in isa_levels() {
                             let at = format!("{shape} level={level}");
                             let mut nt = vec![f64::NAN; m * n];
                             let mut bt = vec![f64::NAN; NT_COLS * k];
@@ -1041,7 +1277,7 @@ mod tests {
     #[test]
     fn optimizer_kernels_are_bit_identical_to_retired_loops_at_every_level() {
         for dim in [1usize, 7, 8, 9, 33, 1898] {
-            for level in levels() {
+            for level in isa_levels() {
                 let at = format!("dim={dim} level={level}");
                 let start = special_data(dim, 0.25, false);
                 let (mut p, mut m, mut v) = (start.clone(), vec![0.0; dim], vec![0.0; dim]);
@@ -1097,6 +1333,95 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The chain one step at a time over the whole slice at the baseline
+    /// level: each lerp a fused `lerp_norm_squared`, each copy a
+    /// `copy_from_slice` and a fresh `norm_squared`, the last step's norm
+    /// returned.
+    fn per_step_chain(a: &mut [f64], steps: &[LerpStep<'_>]) -> f64 {
+        let mut norm = norm_squared_impl(a);
+        for &(b, t) in steps {
+            norm = match t {
+                Some(t) => lerp_norm_squared_impl(a, b, t),
+                None => {
+                    a.copy_from_slice(b);
+                    norm_squared_impl(a)
+                }
+            };
+        }
+        norm
+    }
+
+    #[test]
+    fn lerp_chain_is_bit_identical_to_per_step_kernels_at_every_level() {
+        // Lengths straddle the lane width and the block: a partial chunk
+        // tail, exact blocks, and a partial last block.
+        for n in [0usize, 1, 7, 8, 9, 511, 512, 513, 1030, 1537] {
+            let sources: Vec<Vec<f64>> = (0..6)
+                .map(|k| special_data(n, 0.3 + k as f64, k == 5))
+                .collect();
+            let rm: Vec<LerpStep<'_>> = sources
+                .iter()
+                .enumerate()
+                .map(|(k, b)| (b.as_slice(), Some(1.0 / (k as f64 + 1.0))))
+                .collect();
+            let ema_cold: Vec<LerpStep<'_>> = sources
+                .iter()
+                .enumerate()
+                .map(|(k, b)| (b.as_slice(), (k > 0).then_some(0.2)))
+                .collect();
+            let cases: [(&str, &[LerpStep<'_>]); 5] = [
+                ("robbins-monro", &rm),
+                ("ema from adopt", &ema_cold),
+                ("adopt only", &ema_cold[..1]),
+                ("ema warm", &ema_cold[1..]),
+                ("no steps", &[]),
+            ];
+            for (what, steps) in cases {
+                let start = special_data(n, 9.0, false);
+                let mut want = start.clone();
+                let want_norm = per_step_chain(&mut want, steps);
+                for level in isa_levels() {
+                    let mut got = start.clone();
+                    let got_norm = lerp_chain_at(level, &mut got, steps.iter().copied());
+                    let at = format!("{what} n={n} level={level}");
+                    assert!(same_bits(got_norm, want_norm), "{at}: norm");
+                    assert_same_bits(&got, &want, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lerp_chain_norm_squared")]
+    fn lerp_chain_rejects_a_short_source() {
+        let mut a = vec![0.0; 9];
+        let _ = lerp_chain_norm_squared(&mut a, [(&[1.0; 8][..], Some(0.5))].into_iter());
+    }
+
+    #[test]
+    fn merge_sort_network_sorts_every_zero_one_input() {
+        // The 0-1 principle: a comparator network sorts every input iff it
+        // sorts every 0-1 input, so n ≤ 14 is checked exhaustively here.
+        for n in 0..=14usize {
+            let network = merge_sort_network(n);
+            assert!(network.iter().all(|&(i, j)| i < j && (j as usize) < n));
+            for bits in 0..1u32 << n {
+                let mut keys: Vec<i64> = (0..n).map(|i| i64::from(bits >> i & 1)).collect();
+                for &(i, j) in &network {
+                    let (i, j) = (i as usize, j as usize);
+                    if keys[i] > keys[j] {
+                        keys.swap(i, j);
+                    }
+                }
+                assert!(
+                    keys.windows(2).all(|w| w[0] <= w[1]),
+                    "n={n} input {bits:b}"
+                );
+            }
+        }
+        assert_eq!(merge_sort_network(32).len(), 191);
     }
 
     fn naive_gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {

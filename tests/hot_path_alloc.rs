@@ -31,7 +31,7 @@ const WIDE_VECTOR_BYTES: u64 = (WIDE_DIM * std::mem::size_of::<f64>()) as u64;
 /// The CIFAR profile's model: a 48→32→10 MLP.
 const CIFAR_PARAMS: usize = 1_898;
 
-/// About twice the 5 984–6 040 bytes a warm pass allocates at dim 131 072
+/// About twice the 5 960–6 016 bytes a warm pass allocates at dim 131 072
 /// and Ω = 32. The three fresh-group passes before it allocate about
 /// 2.1 MB each; a warm pass must stay below one dimension-sized vector.
 const WIDE_PASS_BYTES_BOUND: u64 = 12_000;
@@ -42,10 +42,11 @@ const PAPER_PASS_BYTES_BOUND: u64 = 15_000;
 /// About twice the 15 allocations a warm pass makes at either shape, so
 /// one more allocation per update (Ω ≥ 32 of them) fails it.
 const WARM_PASS_ALLOCS_BOUND: u64 = 30;
-/// About twice the 2 097 408 bytes one mean aggregate allocates at dim
-/// 131 072 and Ω = 32: the mean, the next global model and the weights.
-/// Copying every delta would allocate 35 652 608.
-const AGGREGATE_BYTES_BOUND: u64 = 4_200_000;
+/// About 1.5× the 1 048 832 bytes one mean aggregate allocates at dim
+/// 131 072 and Ω = 32: the next global model, which the mean accumulates
+/// in, and the weights. A separate mean vector (2 097 408 in all) fails
+/// it; copying every delta would allocate 35 652 608.
+const AGGREGATE_BYTES_BOUND: u64 = 1_600_000;
 /// About twice the 104 944 bytes one CIFAR-profile `train` call allocates
 /// (256 samples, 5 epochs, batch 64).
 const TRAIN_BYTES_BOUND: u64 = 210_000;

@@ -281,6 +281,85 @@ fn traced_runs_carry_gauges_and_alloc_annotated_spans() {
     assert_eq!(accepted, (d.false_negatives + d.true_negatives) as u64);
 }
 
+/// Names of the closed spans in `mem`, oldest first.
+fn closed_spans(mem: &MemorySink) -> Vec<(&'static str, u64)> {
+    mem.events()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::SpanClosed { name, nanos, .. } => Some((name, nanos)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn filter_sub_spans_nest_inside_filter_and_a_warm_pass_skips_bootstrap() {
+    // End to end: AsyncFilter's sub-spans close while the server's
+    // `filter` span is open. The filter pass runs synchronously inside it,
+    // so each child closes before its `filter` does, no other span closes
+    // in between, and the children's time fits inside the pass.
+    let (_, mem) = traced_run(Box::new(AsyncFilter::default()), AttackKind::Gd);
+    assert_eq!(mem.dropped(), 0);
+    let mut children: Vec<(&str, u64)> = Vec::new();
+    let mut seen = std::collections::BTreeSet::new();
+    for (name, nanos) in closed_spans(&mem) {
+        match name {
+            "bootstrap" | "absorb" | "kmeans_1d" => {
+                seen.insert(name);
+                children.push((name, nanos));
+            }
+            "filter" => {
+                let inside: u64 = children.iter().map(|&(_, n)| n).sum();
+                assert!(
+                    inside <= nanos,
+                    "{children:?} outlast their filter pass ({nanos} ns)"
+                );
+                children.clear();
+            }
+            other => assert!(
+                children.is_empty(),
+                "`{other}` closed between {children:?} and their filter span"
+            ),
+        }
+    }
+    assert!(
+        children.is_empty(),
+        "{children:?} closed outside any filter span"
+    );
+    assert_eq!(
+        seen.into_iter().collect::<Vec<_>>(),
+        ["absorb", "bootstrap", "kmeans_1d"]
+    );
+
+    // A pass over groups the filter has never seen bootstraps their
+    // estimates; the same groups on the next pass are warm, and the pass
+    // emits no `bootstrap` span.
+    let mem = MemorySink::new(1_000);
+    let global = Vector::zeros(4);
+    let ctx = FilterContext::new(1, &global, 20).with_sink(&mem);
+    let buffer = || -> Vec<ClientUpdate> {
+        (0..8)
+            .map(|i| {
+                let params = Vector::from_fn(4, |d| (i * 4 + d) as f64 * 0.01);
+                ClientUpdate::new(i, 0, (i % 2) as u64, params, 10)
+            })
+            .collect()
+    };
+    let mut filter = AsyncFilter::default();
+    let names = |mem: &MemorySink| -> Vec<&str> {
+        closed_spans(mem)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect()
+    };
+    let _ = filter.filter(buffer(), &ctx);
+    let fresh = names(&mem);
+    assert_eq!(fresh, ["bootstrap", "kmeans_1d", "absorb"]);
+    assert_eq!(filter.tracked_groups(), 2);
+    let _ = filter.filter(buffer(), &ctx);
+    assert_eq!(names(&mem)[fresh.len()..], ["kmeans_1d", "absorb"]);
+}
+
 #[test]
 fn threaded_engine_reports_through_the_same_sink() {
     let mem = Arc::new(MemorySink::new(100_000));
