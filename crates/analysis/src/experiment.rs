@@ -128,7 +128,9 @@ pub struct RecordedUpdate {
     pub client: usize,
     /// Staleness at filtering time.
     pub staleness: u64,
-    /// The update's model parameters ωᵢ.
+    /// The update's model parameters ωᵢ = ω_base + δᵢ, built from the
+    /// server's base; NaN in every coordinate for an update no server
+    /// resolved (a filter driven directly with `from_delta` updates).
     pub params: asyncfl_tensor::Vector,
     /// The model update δᵢ = ωᵢ − ω_base.
     pub delta: asyncfl_tensor::Vector,
@@ -167,7 +169,9 @@ impl UpdateFilter for RecordingFilter {
                 round: ctx.round,
                 client: u.client,
                 staleness: u.staleness,
-                params: u.params.clone(),
+                params: u.params().unwrap_or_else(|| {
+                    asyncfl_tensor::Vector::from_fn(u.delta.len(), |_| f64::NAN)
+                }),
                 delta: u.delta.clone(),
                 truth_malicious: u.truth_malicious,
             });

@@ -117,8 +117,7 @@ impl Aggregator for MedianAggregator {
     }
 
     fn aggregate(&mut self, updates: &[ClientUpdate], global: &Vector) -> Vector {
-        let deltas: Vec<Vector> = updates.iter().map(|u| u.delta.clone()).collect();
-        match stats::median_vector(&deltas) {
+        match stats::median_vector(updates.iter().map(|u| &u.delta)) {
             Some(m) => global + &m,
             None => global.clone(),
         }
@@ -324,6 +323,27 @@ mod tests {
     fn upd(client: usize, staleness: u64, delta: &[f64], samples: usize) -> ClientUpdate {
         let base = Vector::zeros(delta.len());
         ClientUpdate::from_delta(client, 0, staleness, &base, Vector::from(delta), samples)
+    }
+
+    /// The median borrows the deltas it reads; the result must be bit
+    /// for bit what the cloned-deltas version computed, signed zeros,
+    /// ties and even counts included.
+    #[test]
+    fn median_of_borrowed_deltas_matches_the_cloned_version() {
+        for n in [1usize, 2, 5, 8] {
+            let updates: Vec<ClientUpdate> = (0..n)
+                .map(|i| {
+                    let x = i as f64;
+                    upd(i, 0, &[-0.0, 0.1 * x - 0.3, (x * 1.7).sin(), 1.0], 10)
+                })
+                .collect();
+            let g = Vector::from(vec![0.0, -1.5, 2.25, -0.0]);
+            let cloned: Vec<Vector> = updates.iter().map(|u| u.delta.clone()).collect();
+            let want = &g + &stats::median_vector(&cloned).unwrap();
+            let got = run(MedianAggregator, &updates, &g);
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n {n}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::update::{ClientUpdate, FilterContext, FilterOutcome, UpdateFilter};
 use asyncfl_clustering::one_dim::kmeans_1d;
 use asyncfl_telemetry::Span;
-use asyncfl_tensor::kernels::{lerp_chain_norm_squared, sum_seq};
+use asyncfl_tensor::kernels::{lerp_chain_norm_squared, sum_dots, sum_seq, AsSummed};
 use asyncfl_tensor::Vector;
 use std::collections::BTreeMap;
 
@@ -203,17 +203,38 @@ fn scorable(u: &ClientUpdate) -> bool {
     u.params_norm_squared().is_finite()
 }
 
-/// Eq. 6 through the cached-norm identity `‖ω‖² + ‖MA‖² − 2·ω·MA`, or
-/// NaN when `‖ω‖² + ‖MA‖²` overflows. There the identity computes
-/// `inf − inf` or `inf`, and the distance clamp would turn the former into
-/// 0.0, the most benign distance.
-fn eq6(u: &ClientUpdate, est: &Vector, est_norm_sq: f64) -> f64 {
-    let norm_sq = u.params_norm_squared();
-    if (norm_sq + est_norm_sq).is_finite() {
-        u.params
-            .distance_squared_from_norms(norm_sq, est, est_norm_sq)
-    } else {
-        f64::NAN
+/// Eq. 6 for every update of `members` against one estimate, into
+/// `out` in member order: the cached-norm identity
+/// `‖ω‖² + ‖MA‖² − 2·ω·MA`, or NaN where `‖ω‖² + ‖MA‖²` overflows. There
+/// the identity computes `inf − inf` or `inf`, and the distance clamp
+/// would turn the former into 0.0, the most benign distance.
+///
+/// The dots are one blocked [`sum_dots`] sweep: each block of the
+/// estimate, and of a base the members share (every member of a staleness
+/// group in a pass shares one), is read once for all of them, and each
+/// ω is formed from its base and δ as it is read. Each value is
+/// bit-identical to `ω.distance_squared_from_norms(‖ω‖², MA, ‖MA‖²)` on
+/// the stored ω.
+fn eq6_into<'a>(
+    members: impl Iterator<Item = &'a ClientUpdate> + Clone,
+    est: &Vector,
+    est_norm_sq: f64,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(members.clone().count(), 0.0);
+    sum_dots(
+        est.as_slice(),
+        members.clone().map(AsSummed::as_summed),
+        out,
+    );
+    for (d, u) in out.iter_mut().zip(members) {
+        let norm_sq = u.params_norm_squared();
+        *d = if (norm_sq + est_norm_sq).is_finite() {
+            (norm_sq + est_norm_sq - 2.0 * *d).max(0.0)
+        } else {
+            f64::NAN
+        };
     }
 }
 
@@ -232,17 +253,14 @@ fn root_sum_sq(d_sq: impl Iterator<Item = f64> + Clone) -> f64 {
     sum_seq(d_sq.map(|d| d / SCALE / SCALE)).sqrt() * SCALE
 }
 
-/// Coordinate-wise 25%-trimmed mean used to bootstrap new-group estimates.
-/// Borrows the parameter vectors — no update is cloned. Empty input (never
-/// produced by the callers) yields an empty vector.
-fn robust_bootstrap<'a, I>(params: I) -> Vector
-where
-    I: IntoIterator<Item = &'a Vector>,
-{
-    let params: Vec<&Vector> = params.into_iter().collect();
-    let trim = params.len() / 4;
-    asyncfl_tensor::stats::trimmed_mean_vector(params.iter().copied(), trim)
-        .unwrap_or_else(|| Vector::zeros(params.first().map_or(0, |p| p.len())))
+/// Coordinate-wise 25%-trimmed mean of the updates' ω, used to bootstrap
+/// new-group estimates. Borrows the updates and forms each ω from its base
+/// and δ as its column is gathered: nothing model-sized is cloned or
+/// built but the result. Empty input (never produced by the callers)
+/// yields an empty vector.
+fn robust_bootstrap<'a>(updates: impl Iterator<Item = &'a ClientUpdate> + Clone) -> Vector {
+    let trim = updates.clone().count() / 4;
+    asyncfl_tensor::stats::trimmed_mean_vector(updates, trim).unwrap_or_else(|| Vector::zeros(0))
 }
 
 /// Per-staleness-group moving-average state.
@@ -277,6 +295,8 @@ struct Scratch {
     /// Indices of the updates a pass absorbs, grouped by staleness group
     /// and in buffer order within each group.
     absorbs: Vec<usize>,
+    /// One group's eq. 6 distances, in member order.
+    dots: Vec<f64>,
 }
 
 /// The AsyncFilter server module.
@@ -390,7 +410,7 @@ impl AsyncFilter {
                 .groups
                 .entry(first.staleness / bucket)
                 .or_insert_with(|| GroupState {
-                    ma: Vector::zeros(first.params.len()),
+                    ma: Vector::zeros(first.delta.len()),
                     absorbed: 0,
                     norm_sq: 0.0,
                 });
@@ -401,7 +421,7 @@ impl AsyncFilter {
                     MovingAverageMode::Ema { .. } if absorbed == 0 => None,
                     MovingAverageMode::Ema { beta } => Some(beta),
                 };
-                (u.params.as_slice(), t)
+                (u.as_summed(), t)
             });
             state.norm_sq = lerp_chain_norm_squared(state.ma.as_mut_slice(), steps);
             state.absorbed += run.len() as u64;
@@ -439,12 +459,12 @@ impl AsyncFilter {
                 robust_bootstrap(
                     keys.iter()
                         .zip(updates)
-                        .filter(|(&k, _)| k == key)
-                        .map(|(_, u)| &u.params),
+                        .filter(move |(&k, _)| k == key)
+                        .map(|(_, u)| u),
                 )
             } else {
                 buffer_median
-                    .get_or_insert_with(|| robust_bootstrap(updates.iter().map(|u| &u.params)))
+                    .get_or_insert_with(|| robust_bootstrap(updates.iter()))
                     .clone()
             };
             let norm_sq = est.norm_squared();
@@ -504,17 +524,18 @@ impl AsyncFilter {
         }
 
         // Eq. 6: per-update squared distance to its own group estimate,
-        // each a single dot product via the cached norms.
+        // each a single dot product via the cached norms, one blocked
+        // sweep per group.
         scr.dist_sq.clear();
         scr.dist_sq.resize(n, 0.0);
         for (gi, &key) in scr.uniq.iter().enumerate() {
             let (own, own_norm_sq) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
-            for (i, u) in finite.iter().enumerate() {
-                // lint:allow(P2) -- keys/dist_sq are both sized to n
-                if scr.keys[i] != key {
-                    continue;
-                }
-                scr.dist_sq[i] = eq6(u, own, own_norm_sq); // lint:allow(P2) -- dist_sq was sized to n
+            let keys = &scr.keys;
+            let members = finite.iter().zip(keys).filter(move |&(_, &k)| k == key);
+            eq6_into(members.map(|(u, _)| u), own, own_norm_sq, &mut scr.dots);
+            let mut dots = scr.dots.iter();
+            for (d, _) in scr.dist_sq.iter_mut().zip(keys).filter(|&(_, &k)| k == key) {
+                *d = dots.next().copied().unwrap_or(f64::NAN);
             }
         }
         let g = scr.uniq.len();
@@ -523,19 +544,23 @@ impl AsyncFilter {
         }
         // Per-(group, update) squared-distance matrix in a flat reused
         // buffer: own-group entries are exactly `dist_sq`, every other
-        // entry is one dot product.
+        // entry is one dot product, swept per group like the own-group
+        // distances.
         scr.cross.clear();
         scr.cross.resize(g * n, 0.0);
         for (gi, &key) in scr.uniq.iter().enumerate() {
             let (ma, ma_norm_sq) = ests[gi]; // lint:allow(P2) -- aligned with uniq
-            for (i, u) in finite.iter().enumerate() {
-                // lint:allow(P2) -- keys/dist_sq sized to n
-                let v = if scr.keys[i] == key {
-                    scr.dist_sq[i] // lint:allow(P2) -- dist_sq sized to n
+            let keys = &scr.keys;
+            let others = finite.iter().zip(keys).filter(move |&(_, &k)| k != key);
+            eq6_into(others.map(|(u, _)| u), ma, ma_norm_sq, &mut scr.dots);
+            let mut dots = scr.dots.iter();
+            let row = scr.cross.chunks_exact_mut(n).nth(gi).unwrap_or_default();
+            for ((c, &k), &own) in row.iter_mut().zip(keys).zip(&scr.dist_sq) {
+                *c = if k == key {
+                    own
                 } else {
-                    eq6(u, ma, ma_norm_sq)
+                    dots.next().copied().unwrap_or(f64::NAN)
                 };
-                scr.cross[gi * n + i] = v; // lint:allow(P2) -- cross sized to g·n
             }
         }
         for (i, d) in scr.dist_sq.iter_mut().enumerate() {
@@ -599,6 +624,7 @@ impl UpdateFilter for AsyncFilter {
         loop {
             if finite.len() < self.config.min_updates {
                 // Too few points to cluster meaningfully; absorb and accept.
+                scr.absorbs.reserve(finite.len());
                 scr.absorbs.extend(0..finite.len());
                 {
                     let _span = Span::start(ctx.sink, "absorb");
@@ -750,6 +776,7 @@ impl UpdateFilter for AsyncFilter {
         // when the separation gate tolerates them for aggregation, letting
         // them into the moving average would poison the reference and erase
         // the very separation the gate is waiting for.
+        scr.absorbs.reserve(finite.len());
         scr.absorbs.extend(
             clustering
                 .assignments
@@ -882,7 +909,7 @@ mod tests {
             .map(|i| upd(i, 0, &[1.0 + 0.05 * i as f64, 2.0 - 0.05 * i as f64], false))
             .collect();
         updates.push(upd(9, 0, &[1e308, 1e308], true));
-        assert!(updates[9].params.is_finite());
+        assert!(updates[9].delta.is_finite());
         assert!(updates[9].params_norm_squared().is_infinite());
 
         let mut f = AsyncFilter::default();
@@ -1291,8 +1318,9 @@ mod tests {
         ma_mode: MovingAverageMode,
         u: &ClientUpdate,
     ) {
+        let params = u.params().expect("a test update carries ω");
         let state = groups.entry(u.staleness).or_insert_with(|| GroupState {
-            ma: Vector::zeros(u.params.len()),
+            ma: Vector::zeros(params.len()),
             absorbed: 0,
             norm_sq: 0.0,
         });
@@ -1301,10 +1329,10 @@ mod tests {
             MovingAverageMode::Ema { beta } => beta,
         };
         if state.absorbed == 0 && matches!(ma_mode, MovingAverageMode::Ema { .. }) {
-            state.ma.copy_from(&u.params);
+            state.ma.copy_from(&params);
             state.norm_sq = u.params_norm_squared();
         } else {
-            state.norm_sq = state.ma.lerp_norm_squared(&u.params, t);
+            state.norm_sq = state.ma.lerp_norm_squared(&params, t);
         }
         state.absorbed += 1;
     }
@@ -1368,6 +1396,112 @@ mod tests {
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "{at}: estimate"
                 );
+            }
+        }
+    }
+
+    /// An update no server has resolved (`from_delta` alone) has no ω: a
+    /// direct `filter` call rejects it through the sanitize predicate
+    /// rather than scoring it as ω = δ.
+    #[test]
+    fn unresolved_updates_are_rejected_not_scored_as_their_delta() {
+        let base = Vector::zeros(2);
+        let mut updates: Vec<ClientUpdate> = (0..8)
+            .map(|i| ClientUpdate::from_delta(i, 0, 0, &base, Vector::from(vec![1.0, i as f64]), 1))
+            .collect();
+        updates.push(upd(8, 0, &[1.0, 0.5], false));
+        let mut f = AsyncFilter::default();
+        let out = f.filter(updates, &ctx_with(&base));
+        assert_eq!(out.rejected.len(), 8);
+        assert!(out.rejected.iter().all(|u| !u.is_resolved()));
+        assert_eq!(out.accepted.len(), 1);
+        assert!(f.last_scores().is_empty());
+    }
+
+    /// Passes over updates carried as a shared per-round base plus their
+    /// deltas score, partition and absorb bit for bit as passes over the
+    /// same ω stored whole (`new`): every normalization, exact and pooled
+    /// staleness buckets (a pooled group mixes bases), both moving
+    /// averages, through bootstrap and warm passes.
+    #[test]
+    fn shared_base_passes_are_bit_identical_to_stored_params() {
+        use std::sync::Arc;
+        let dim = 1_030;
+        let bases: Vec<Arc<Vector>> = (0..3)
+            .map(|r| {
+                Arc::new(Vector::from_fn(dim, |d| {
+                    ((d * 7 + r * 11) as f64 * 0.13).cos()
+                }))
+            })
+            .collect();
+        let delta = |d: usize, i: usize, round: usize| match (d + i) % 13 {
+            0 => -0.0,
+            _ => {
+                ((d * 5 + i * 17 + round * 3) as f64 * 0.21).sin()
+                    * if i % 6 == 5 { 9.0 } else { 0.1 }
+            }
+        };
+        for (normalization, bucket, ma_mode) in [
+            (ScoreNormalization::Global, 1, MovingAverageMode::default()),
+            (
+                ScoreNormalization::CrossGroup,
+                1,
+                MovingAverageMode::RobbinsMonro,
+            ),
+            (
+                ScoreNormalization::WithinGroup,
+                2,
+                MovingAverageMode::default(),
+            ),
+            (
+                ScoreNormalization::CrossGroup,
+                2,
+                MovingAverageMode::default(),
+            ),
+        ] {
+            let config = AsyncFilterConfig {
+                score_normalization: normalization,
+                staleness_bucket: bucket,
+                ma_mode,
+                ..AsyncFilterConfig::default()
+            };
+            let (mut shared, mut stored) =
+                (AsyncFilter::new(config.clone()), AsyncFilter::new(config));
+            for round in 0..4 {
+                let make = |i: usize| {
+                    let staleness = (i % 3) as u64;
+                    let base = &bases[(round + i) % 3];
+                    let d = Vector::from_fn(dim, |k| delta(k, i, round));
+                    let resolved = ClientUpdate::with_base(i, 0, staleness, Arc::clone(base), d, 1);
+                    let whole = resolved.params().expect("resolved");
+                    (resolved, ClientUpdate::new(i, 0, staleness, whole, 1))
+                };
+                let (a, b): (Vec<_>, Vec<_>) = (0..18).map(make).unzip();
+                let ctx = ctx_with(&bases[0]);
+                let (oa, ob) = (shared.filter(a, &ctx), stored.filter(b, &ctx));
+                let ids = |v: &[ClientUpdate]| v.iter().map(|u| u.client).collect::<Vec<_>>();
+                let at = format!("{normalization:?} bucket {bucket} round {round}");
+                assert_eq!(ids(&oa.accepted), ids(&ob.accepted), "{at}");
+                assert_eq!(ids(&oa.rejected), ids(&ob.rejected), "{at}");
+                assert_eq!(ids(&oa.deferred), ids(&ob.deferred), "{at}");
+                let scores = |f: &AsyncFilter| {
+                    f.last_scores()
+                        .iter()
+                        .map(|r| r.score.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(scores(&shared), scores(&stored), "{at}");
+                assert!(!scores(&shared).is_empty(), "{at}");
+                assert_eq!(shared.groups.len(), stored.groups.len(), "{at}");
+                for (x, y) in shared.groups.values().zip(stored.groups.values()) {
+                    assert_eq!(x.norm_sq.to_bits(), y.norm_sq.to_bits(), "{at}");
+                    assert!(
+                        x.ma.iter()
+                            .zip(y.ma.iter())
+                            .all(|(p, q)| p.to_bits() == q.to_bits()),
+                        "{at}"
+                    );
+                }
             }
         }
     }

@@ -188,10 +188,12 @@ impl UpdateFilter for FlDetector {
         // buffers (the steady state) keep their Vec as-is; the partition
         // allocation only happens when something is actually broken.
         let (finite, broken): (Vec<ClientUpdate>, Vec<ClientUpdate>) =
-            if updates.iter().all(|u| u.params.is_finite()) {
+            if updates.iter().all(ClientUpdate::params_is_finite) {
                 (updates, Vec::new())
             } else {
-                updates.into_iter().partition(|u| u.params.is_finite())
+                updates
+                    .into_iter()
+                    .partition(ClientUpdate::params_is_finite)
             };
         outcome.rejected.extend(broken);
         if finite.is_empty() {
@@ -354,8 +356,15 @@ mod tests {
 
     fn upd(client: usize, delta: &[f64], malicious: bool) -> ClientUpdate {
         let base = Vector::zeros(delta.len());
-        ClientUpdate::from_delta(client, 0, 0, &base, Vector::from(delta), 10)
-            .with_truth_malicious(malicious)
+        ClientUpdate::with_base(
+            client,
+            0,
+            0,
+            std::sync::Arc::new(base),
+            Vector::from(delta),
+            10,
+        )
+        .with_truth_malicious(malicious)
     }
 
     #[test]

@@ -179,7 +179,6 @@ impl Aggregator for NnmAggregator {
                     delta.axpy(1.0 / k as f64, &updates[j].delta);
                 }
                 let mut mixed = u.clone();
-                mixed.params = global + &delta;
                 mixed.delta = delta;
                 mixed.refresh_cached_norms();
                 mixed

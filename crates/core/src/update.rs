@@ -8,9 +8,42 @@
 //! unchanged.
 
 use asyncfl_telemetry::Sink;
+use asyncfl_tensor::kernels::{sum_norm_squared, AsSummed, Summed};
 use asyncfl_tensor::Vector;
+use std::sync::Arc;
+
+/// Where an update's reported model ω comes from.
+#[derive(Debug, Clone, PartialEq)]
+enum Base {
+    /// `ω = δ` ([`ClientUpdate::new`]): the delta is read as is.
+    None,
+    /// Built by [`ClientUpdate::from_delta`] and not yet resolved by a
+    /// server: ω is unknown, so the update is unscorable. Debug builds
+    /// carry the [`model_fingerprint`] of the base the caller passed.
+    Unresolved { fingerprint: Option<u64> },
+    /// `ω = base + δ`, with `base` the global model of `base_round`,
+    /// shared by every update of that round and summed inside each kernel
+    /// that reads ω.
+    Model(Arc<Vector>),
+}
 
 /// One buffered client report, as the server sees it.
+///
+/// A FedBuff client sends its delta δ and the round it trained from. The
+/// reported model the AsyncFilter geometry works on is `ω = ω_base + δ`
+/// (paper eq. 6); it is never stored. An update holds δ and a shared
+/// reference to ω_base, and every reader of ω forms `ω_base[i] + δ[i]`
+/// inside its kernel ([`AsSummed`]), which rounds to exactly the `f64` a
+/// stored sum would hold.
+///
+/// ω_base is the server's own record of the model it sent for
+/// `base_round`, never anything the client supplies: [`from_delta`]
+/// records no base, and `BufferedServer::receive` attaches its record
+/// with [`resolve`]. Until then the update is unscorable: its cached
+/// `‖ω‖²` is NaN, which every filter's sanitize step rejects.
+///
+/// [`from_delta`]: ClientUpdate::from_delta
+/// [`resolve`]: ClientUpdate::resolve
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientUpdate {
     /// Client identifier.
@@ -19,11 +52,9 @@ pub struct ClientUpdate {
     pub base_round: u64,
     /// Staleness at receipt: current server round minus `base_round`.
     pub staleness: u64,
-    /// The updated local model parameters ωᵢ.
-    pub params: Vector,
     /// The model update δᵢ = ωᵢ − ω_base, where ω_base is the (possibly
     /// stale) global model the client trained from. FedBuff-style servers
-    /// aggregate deltas; AsyncFilter's geometry works on `params`.
+    /// aggregate deltas; AsyncFilter's geometry works on ω.
     pub delta: Vector,
     /// Local sample count (aggregation weight `pᵢ` numerator).
     pub num_samples: usize,
@@ -33,18 +64,58 @@ pub struct ClientUpdate {
     /// How many times a filter has deferred this update ("contribute at a
     /// later stage"). Maintained by filters that defer.
     pub defers: u32,
-    /// Cached `‖params‖²`, kept consistent by the constructors and
-    /// [`ClientUpdate::refresh_cached_norms`]. Private so in-place edits
-    /// to `params` can't silently desynchronize it.
+    /// Where ω comes from.
+    base: Base,
+    /// Cached `‖ω‖²`, kept consistent by the constructors,
+    /// [`ClientUpdate::resolve`] and
+    /// [`ClientUpdate::refresh_cached_norms`]; NaN while unresolved.
+    /// Private so in-place edits to `delta` can't silently desynchronize
+    /// it.
     params_norm_sq: f64,
     /// Cached `‖delta‖²` under the same contract.
     delta_norm_sq: f64,
 }
 
+/// FNV-1a over the bits of `v`'s coordinates: the debug-build check that
+/// the base a caller passed to [`ClientUpdate::from_delta`] is the model
+/// the server recorded for that round.
+pub fn model_fingerprint(v: &Vector) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 impl ClientUpdate {
+    /// The update with every field but ω's source and its norm.
+    fn with_source(
+        client: usize,
+        base_round: u64,
+        staleness: u64,
+        delta: Vector,
+        num_samples: usize,
+        base: Base,
+    ) -> Self {
+        let delta_norm_sq = delta.norm_squared();
+        let mut update = Self {
+            client,
+            base_round,
+            staleness,
+            delta,
+            num_samples,
+            truth_malicious: false,
+            defers: 0,
+            base,
+            params_norm_sq: f64::NAN,
+            delta_norm_sq,
+        };
+        update.params_norm_sq = update.omega_norm_squared();
+        update
+    }
+
     /// Creates an update with the convention `ω_base = 0`, i.e.
-    /// `delta == params`. Convenient for filter-level tests; real servers
-    /// should use [`ClientUpdate::from_base`].
+    /// `ω == delta`, read as is (adding a zero base would turn `-0.0`
+    /// into `+0.0`). Convenient for filter-level tests; a server that
+    /// receives it resolves it against its own record like any report.
     pub fn new(
         client: usize,
         base_round: u64,
@@ -52,55 +123,23 @@ impl ClientUpdate {
         params: Vector,
         num_samples: usize,
     ) -> Self {
-        let delta = params.clone();
-        let params_norm_sq = params.norm_squared();
-        Self {
+        Self::with_source(
             client,
             base_round,
             staleness,
             params,
-            delta,
             num_samples,
-            truth_malicious: false,
-            defers: 0,
-            params_norm_sq,
-            delta_norm_sq: params_norm_sq,
-        }
+            Base::None,
+        )
     }
 
-    /// Creates an update from the base model the client trained from,
-    /// computing `delta = params − base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` and `params` dimensions differ.
-    pub fn from_base(
-        client: usize,
-        base_round: u64,
-        staleness: u64,
-        base: &Vector,
-        params: Vector,
-        num_samples: usize,
-    ) -> Self {
-        let delta = &params - base;
-        let params_norm_sq = params.norm_squared();
-        let delta_norm_sq = delta.norm_squared();
-        Self {
-            client,
-            base_round,
-            staleness,
-            params,
-            delta,
-            num_samples,
-            truth_malicious: false,
-            defers: 0,
-            params_norm_sq,
-            delta_norm_sq,
-        }
-    }
-
-    /// Creates an update from a crafted delta (attack path): the reported
-    /// parameters are `base + delta`.
+    /// Creates an update from a delta and the base it was computed
+    /// against (the engines' and attack paths' constructor). It stores δ
+    /// and `‖δ‖²` and writes no model-sized vector. ω stays unresolved
+    /// until a server attaches its own record of `base_round`
+    /// ([`ClientUpdate::resolve`]); `base` only fixes the dimension and,
+    /// in debug builds, a [`model_fingerprint`] the server checks against
+    /// its record.
     ///
     /// # Panics
     ///
@@ -113,21 +152,50 @@ impl ClientUpdate {
         delta: Vector,
         num_samples: usize,
     ) -> Self {
-        let params = base + &delta;
-        let params_norm_sq = params.norm_squared();
-        let delta_norm_sq = delta.norm_squared();
-        Self {
+        assert_eq!(
+            base.len(),
+            delta.len(),
+            "from_delta: base and delta dimensions differ"
+        );
+        let fingerprint = cfg!(debug_assertions).then(|| model_fingerprint(base));
+        Self::with_source(
             client,
             base_round,
             staleness,
-            params,
             delta,
             num_samples,
-            truth_malicious: false,
-            defers: 0,
-            params_norm_sq,
-            delta_norm_sq,
-        }
+            Base::Unresolved { fingerprint },
+        )
+    }
+
+    /// Creates an update already resolved against `base`, so
+    /// `ω = base + delta`: for engines and tests that drive filters
+    /// directly, with no server to resolve it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` and `delta` dimensions differ.
+    pub fn with_base(
+        client: usize,
+        base_round: u64,
+        staleness: u64,
+        base: Arc<Vector>,
+        delta: Vector,
+        num_samples: usize,
+    ) -> Self {
+        assert_eq!(
+            base.len(),
+            delta.len(),
+            "with_base: base and delta dimensions differ"
+        );
+        Self::with_source(
+            client,
+            base_round,
+            staleness,
+            delta,
+            num_samples,
+            Base::Model(base),
+        )
     }
 
     /// Marks the ground-truth malice flag (builder-style).
@@ -136,10 +204,76 @@ impl ClientUpdate {
         self
     }
 
-    /// Cached squared ℓ2 norm of `params` (`‖ωᵢ‖²`), computed once at
-    /// construction. With per-estimate norms this turns every
-    /// `d(MA, ω)` in AsyncFilter's eq. 6/7 scoring into a single dot
-    /// product via `‖MA − ω‖² = ‖MA‖² + ‖ω‖² − 2·MA·ω`.
+    /// Attaches `base` as ω_base, replacing whatever the update carried,
+    /// and caches `‖ω‖²` in one read-only pass over the base and δ. The
+    /// server calls this with its own record of `base_round`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` and `delta` dimensions differ.
+    pub fn resolve(&mut self, base: Arc<Vector>) {
+        assert_eq!(
+            base.len(),
+            self.delta.len(),
+            "resolve: base and delta dimensions differ"
+        );
+        self.base = Base::Model(base);
+        self.params_norm_sq = self.omega_norm_squared();
+    }
+
+    /// `false` only for an update built by [`ClientUpdate::from_delta`]
+    /// that no server has resolved yet.
+    pub fn is_resolved(&self) -> bool {
+        !matches!(self.base, Base::Unresolved { .. })
+    }
+
+    /// The [`model_fingerprint`] [`ClientUpdate::from_delta`] recorded in
+    /// a debug build, until the update is resolved; `None` otherwise.
+    pub fn base_fingerprint(&self) -> Option<u64> {
+        match self.base {
+            Base::Unresolved { fingerprint } => fingerprint,
+            _ => None,
+        }
+    }
+
+    /// The shared ω_base, once resolved; `None` for a [`ClientUpdate::new`]
+    /// update (ω = δ) and an unresolved one.
+    pub fn base(&self) -> Option<&Arc<Vector>> {
+        match &self.base {
+            Base::Model(base) => Some(base),
+            _ => None,
+        }
+    }
+
+    /// Builds the reported model ω: `base + delta`, or a copy of `delta`
+    /// for a [`ClientUpdate::new`] update. `None` while unresolved. For
+    /// readers off the hot path; the filter's kernels read ω through
+    /// [`AsSummed`] without building it.
+    pub fn params(&self) -> Option<Vector> {
+        match &self.base {
+            Base::None => Some(self.delta.clone()),
+            Base::Unresolved { .. } => None,
+            Base::Model(_) => Some(Vector::from(self.as_summed().to_vec())),
+        }
+    }
+
+    /// `true` when ω is known and every coordinate of it is finite,
+    /// checked without building ω.
+    pub fn params_is_finite(&self) -> bool {
+        match &self.base {
+            Base::None => self.delta.is_finite(),
+            Base::Unresolved { .. } => false,
+            Base::Model(base) => base
+                .iter()
+                .zip(self.delta.iter())
+                .all(|(b, d)| (b + d).is_finite()),
+        }
+    }
+
+    /// Cached squared ℓ2 norm of ω (`‖ωᵢ‖²`), NaN while unresolved. With
+    /// per-estimate norms this turns every `d(MA, ω)` in AsyncFilter's
+    /// eq. 6/7 scoring into a single dot product via
+    /// `‖MA − ω‖² = ‖MA‖² + ‖ω‖² − 2·MA·ω`.
     pub fn params_norm_squared(&self) -> f64 {
         self.params_norm_sq
     }
@@ -151,11 +285,33 @@ impl ClientUpdate {
     }
 
     /// Recomputes both cached norms. **Must** be called after any in-place
-    /// mutation of `params` or `delta` (norm clipping, delta rebasing);
-    /// the constructors establish the invariant, this restores it.
+    /// mutation of `delta` (norm clipping, rescaling); the constructors
+    /// establish the invariant, this restores it. An unresolved update's
+    /// `‖ω‖²` stays NaN.
     pub fn refresh_cached_norms(&mut self) {
-        self.params_norm_sq = self.params.norm_squared();
         self.delta_norm_sq = self.delta.norm_squared();
+        self.params_norm_sq = self.omega_norm_squared();
+    }
+
+    /// `‖ω‖²` computed afresh from the base and δ.
+    fn omega_norm_squared(&self) -> f64 {
+        match self.base {
+            Base::None => self.delta_norm_sq,
+            Base::Unresolved { .. } => f64::NAN,
+            Base::Model(_) => sum_norm_squared(self.as_summed()),
+        }
+    }
+}
+
+impl AsSummed for ClientUpdate {
+    /// ω as the shared base plus δ; δ alone for a [`ClientUpdate::new`]
+    /// update. An unresolved update also reads as δ alone, but its NaN
+    /// `‖ω‖²` keeps it out of every scoring pass.
+    fn as_summed(&self) -> Summed<'_> {
+        Summed {
+            base: self.base().map(|b| b.as_slice()),
+            delta: self.delta.as_slice(),
+        }
     }
 }
 
@@ -352,46 +508,120 @@ mod tests {
         let base = Vector::from(vec![1.0, -2.0, 0.5]);
         let delta = Vector::from(vec![0.25, 0.5, -1.0]);
         let u = ClientUpdate::from_delta(0, 3, 1, &base, delta.clone(), 10);
-        assert_eq!(u.params_norm_squared(), u.params.norm_squared());
+        assert!(u.params_norm_squared().is_nan());
         assert_eq!(u.delta_norm_squared(), delta.norm_squared());
 
-        let v = ClientUpdate::from_base(1, 3, 1, &base, &base + &delta, 10);
-        assert_eq!(v.params_norm_squared(), v.params.norm_squared());
-        assert_eq!(v.delta_norm_squared(), v.delta.norm_squared());
+        let v = ClientUpdate::with_base(1, 3, 1, Arc::new(base.clone()), delta.clone(), 10);
+        assert_eq!(
+            v.params_norm_squared().to_bits(),
+            (&base + &delta).norm_squared().to_bits()
+        );
+        assert_eq!(v.delta_norm_squared(), delta.norm_squared());
 
         let w = ClientUpdate::new(2, 0, 0, base.clone(), 10);
         assert_eq!(w.params_norm_squared(), base.norm_squared());
         assert_eq!(w.delta_norm_squared(), base.norm_squared());
     }
 
+    /// `new` sets ω = δ with no base, read as is: a `-0.0` coordinate
+    /// stays `-0.0`, where adding a zero base would make it `+0.0`.
+    #[test]
+    fn new_reads_its_delta_as_is() {
+        let u = ClientUpdate::new(0, 0, 0, Vector::from(vec![-0.0, 2.0]), 1);
+        assert!(u.is_resolved());
+        assert!(u.base().is_none());
+        assert_eq!(u.as_summed().base, None);
+        let params = u.params().expect("ω = δ");
+        assert_eq!(params[0].to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(u.params_norm_squared(), 4.0);
+    }
+
+    /// `from_delta` records no base: the update is unscorable (NaN
+    /// `‖ω‖²`, no ω, not finite) until resolved, and resolving gives ω =
+    /// base + δ bit for bit.
+    #[test]
+    fn from_delta_is_unscorable_until_resolved() {
+        let base = Vector::from(vec![0.1, -0.0, 1e300, 3.0]);
+        let delta = Vector::from(vec![0.2, -0.0, 1e300, -3.0]);
+        let mut u = ClientUpdate::from_delta(4, 2, 0, &base, delta.clone(), 7);
+        assert!(!u.is_resolved());
+        assert!(u.params_norm_squared().is_nan());
+        assert!(u.params().is_none());
+        assert!(!u.params_is_finite());
+        assert_eq!(
+            u.base_fingerprint(),
+            cfg!(debug_assertions).then(|| model_fingerprint(&base))
+        );
+
+        u.resolve(Arc::new(base.clone()));
+        let stored = &base + &delta;
+        assert!(u.is_resolved());
+        assert_eq!(u.base_fingerprint(), None);
+        let params = u.params().expect("resolved");
+        assert!(params
+            .iter()
+            .zip(stored.iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(
+            u.params_norm_squared().to_bits(),
+            stored.norm_squared().to_bits()
+        );
+        assert!(u.params_is_finite());
+        assert_eq!(u.delta, delta);
+    }
+
+    #[test]
+    #[should_panic(expected = "from_delta")]
+    fn from_delta_rejects_a_base_of_another_dimension() {
+        let _ = ClientUpdate::from_delta(0, 0, 0, &Vector::zeros(3), Vector::zeros(2), 1);
+    }
+
+    #[test]
+    fn params_is_finite_reads_the_sum() {
+        let base = Arc::new(Vector::from(vec![1e308, 0.0]));
+        let u = ClientUpdate::with_base(0, 0, 0, base, Vector::from(vec![1e308, 0.0]), 1);
+        assert!(u.delta.is_finite());
+        assert!(!u.params_is_finite(), "1e308 + 1e308 overflows");
+        assert!(ClientUpdate::new(0, 0, 0, Vector::from(vec![1.0]), 1).params_is_finite());
+        assert!(!ClientUpdate::new(0, 0, 0, Vector::from(vec![f64::NAN]), 1).params_is_finite());
+    }
+
     #[test]
     fn refresh_cached_norms_tracks_in_place_mutation() {
-        let base = Vector::zeros(3);
-        let mut u = ClientUpdate::from_delta(0, 0, 0, &base, Vector::from(vec![3.0, 4.0, 0.0]), 1);
+        let base = Arc::new(Vector::from(vec![1.0, 0.0, 0.0]));
+        let mut u = ClientUpdate::with_base(0, 0, 0, base, Vector::from(vec![3.0, 4.0, 0.0]), 1);
         assert_eq!(u.delta_norm_squared(), 25.0);
+        assert_eq!(u.params_norm_squared(), 32.0);
         u.delta.scale(2.0);
-        u.params = u.delta.clone();
         u.refresh_cached_norms();
         assert_eq!(u.delta_norm_squared(), 100.0);
-        assert_eq!(u.params_norm_squared(), 100.0);
+        assert_eq!(u.params_norm_squared(), 113.0);
+
+        let mut fresh = ClientUpdate::new(1, 0, 0, Vector::from(vec![3.0, 4.0]), 1);
+        fresh.delta.scale(2.0);
+        fresh.refresh_cached_norms();
+        assert_eq!(fresh.params_norm_squared(), 100.0);
+
+        let mut unresolved =
+            ClientUpdate::from_delta(2, 0, 0, &Vector::zeros(1), Vector::from(vec![1.0]), 1);
+        unresolved.refresh_cached_norms();
+        assert!(unresolved.params_norm_squared().is_nan());
     }
 
     #[test]
     fn client_update_constructors() {
         let u = ClientUpdate::new(0, 1, 2, Vector::from(vec![3.0, 4.0]), 7);
-        assert_eq!(u.delta, u.params);
+        assert_eq!(u.params(), Some(u.delta.clone()));
         assert_eq!(u.staleness, 2);
         assert_eq!(u.num_samples, 7);
         assert!(!u.truth_malicious);
 
-        let base = Vector::from(vec![1.0, 1.0]);
-        let u = ClientUpdate::from_base(1, 0, 0, &base, Vector::from(vec![3.0, 4.0]), 7);
+        let base = Arc::new(Vector::from(vec![1.0, 1.0]));
+        let u =
+            ClientUpdate::with_base(2, 0, 0, Arc::clone(&base), Vector::from(vec![2.0, 3.0]), 7);
+        assert_eq!(u.params().expect("resolved").as_slice(), &[3.0, 4.0]);
         assert_eq!(u.delta.as_slice(), &[2.0, 3.0]);
-        assert_eq!(u.params.as_slice(), &[3.0, 4.0]);
-
-        let u = ClientUpdate::from_delta(2, 0, 0, &base, Vector::from(vec![2.0, 3.0]), 7);
-        assert_eq!(u.params.as_slice(), &[3.0, 4.0]);
-        assert_eq!(u.delta.as_slice(), &[2.0, 3.0]);
+        assert!(Arc::ptr_eq(u.base().expect("resolved"), &base));
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl UpdateFilter for ZenoPlusPlus {
         let trusted_norm = trusted.norm();
         let mut outcome = FilterOutcome::default();
         for mut u in updates {
-            if !u.params.is_finite() {
+            if !u.params_is_finite() {
                 outcome.rejected.push(u);
                 continue;
             }
@@ -95,12 +95,8 @@ impl UpdateFilter for ZenoPlusPlus {
                 // Normalize the accepted update to the trusted magnitude.
                 let own = u.delta.norm();
                 if own > 0.0 && trusted_norm > 0.0 {
-                    let scale = trusted_norm / own;
-                    let old_delta = u.delta.clone();
-                    u.delta.scale(scale);
-                    // params = (params − old_delta) + new_delta
-                    u.params -= &old_delta;
-                    u.params += &u.delta.clone();
+                    // ω = base + δ follows the rescaled δ.
+                    u.delta.scale(trusted_norm / own);
                     u.refresh_cached_norms();
                 }
                 outcome.accepted.push(u);
@@ -177,7 +173,7 @@ impl UpdateFilter for AflGuard {
         let bound = self.lambda * trusted.norm();
         let mut outcome = FilterOutcome::default();
         for u in updates {
-            if u.params.is_finite() {
+            if u.params_is_finite() {
                 let dist = u.delta.distance(trusted);
                 // Suspicion score: distance in units of the bound; ≤ 1 means
                 // accepted. A zero bound makes any deviation infinitely far.
@@ -212,8 +208,8 @@ mod tests {
     use asyncfl_tensor::Vector;
 
     fn upd(client: usize, delta: &[f64], malicious: bool) -> ClientUpdate {
-        let base = Vector::zeros(delta.len());
-        ClientUpdate::from_delta(client, 0, 0, &base, Vector::from(delta), 10)
+        let base = std::sync::Arc::new(Vector::zeros(delta.len()));
+        ClientUpdate::with_base(client, 0, 0, base, Vector::from(delta), 10)
             .with_truth_malicious(malicious)
     }
 
@@ -241,11 +237,23 @@ mod tests {
         let g = Vector::zeros(2);
         let trusted = Vector::from(vec![1.0, 0.0]);
         let ctx = FilterContext::new(0, &g, 20).with_trusted_delta(&trusted);
-        let updates = vec![upd(0, &[10.0, 0.0], false)];
+        let base = std::sync::Arc::new(Vector::from(vec![0.5, 0.5]));
+        let updates = vec![ClientUpdate::with_base(
+            0,
+            0,
+            0,
+            base,
+            Vector::from(vec![10.0, 0.0]),
+            10,
+        )];
         let out = ZenoPlusPlus::new().filter(updates, &ctx);
-        assert!((out.accepted[0].delta.norm() - 1.0).abs() < 1e-9);
-        // params stay consistent with the rescaled delta (base was zero).
-        assert!((out.accepted[0].params.norm() - 1.0).abs() < 1e-9);
+        let u = &out.accepted[0];
+        assert!((u.delta.norm() - 1.0).abs() < 1e-9);
+        // ω = base + δ follows the rescaled delta, and so do the cached
+        // norms.
+        assert_eq!(u.params().expect("resolved").as_slice(), &[1.5, 0.5]);
+        assert_eq!(u.params_norm_squared(), 2.5);
+        assert_eq!(u.delta_norm_squared(), 1.0);
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl Simulation {
             // one entry per client, so the heap is reserved at that size.
             let mut queue = BinaryHeap::with_capacity(cfg.num_clients);
             let mut seq = 0u64;
-            let init_base = Arc::new(server.global().clone());
+            let init_base = server.global_arc();
             for client in 0..cfg.num_clients {
                 let mut state = spawner.spawn(client);
                 let factor = state.factor;
@@ -471,7 +471,7 @@ impl Simulation {
                         let dur = latency.cycle_duration(factor, rng);
                         (dur, !participates(cfg, rng))
                     };
-                    let base = Arc::new(server.global().clone());
+                    let base = server.global_arc();
                     if !idle {
                         dispatch(&mut pool, seq, client, &base, &mut job.state);
                     }
@@ -620,7 +620,7 @@ impl Simulation {
                     let dur = latency.cycle_duration(factor, rng);
                     (dur, !participates(cfg, rng))
                 };
-                let base = Arc::new(server.global().clone());
+                let base = server.global_arc();
                 if !idle {
                     dispatch(&mut pool, seq, client, &base, &mut job.state);
                 }

@@ -6,12 +6,20 @@
 //! [`UpdateFilter`] (Fig. 5's AsyncFilter slot), aggregates the accepted
 //! updates with its [`Aggregator`], advances the round counter, and
 //! re-buffers whatever the filter deferred.
+//!
+//! The server is the source of truth for every reported model ω. A client
+//! sends δ and the round it trained from; the server keeps the global
+//! models of the last `staleness_limit + 1` rounds (the only rounds a
+//! report it admits can name) and resolves `ω = ω_base + δ` against its
+//! own record at receipt, never against a base the client supplies
+//! (DESIGN.md §13).
 
 use asyncfl_core::aggregation::Aggregator;
-use asyncfl_core::update::{ClientUpdate, FilterContext, UpdateFilter};
+use asyncfl_core::update::{model_fingerprint, ClientUpdate, FilterContext, UpdateFilter};
 use asyncfl_telemetry::{Event, MalformedReason, SharedSink, Span, Verdict};
 use asyncfl_tensor::Vector;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::metrics::DetectionStats;
 
@@ -30,7 +38,11 @@ pub struct AggregationReport {
 
 /// A FedBuff-style buffered server with a pluggable defense filter.
 pub struct BufferedServer {
-    global: Vector,
+    global: Arc<Vector>,
+    /// The global models of rounds `round + 1 − rounds.len() ..= round`,
+    /// oldest first, each with its [`model_fingerprint`] in debug builds:
+    /// at most `staleness_limit + 1` of them.
+    rounds: VecDeque<(Arc<Vector>, Option<u64>)>,
     round: u64,
     buffer: Vec<ClientUpdate>,
     aggregation_bound: usize,
@@ -60,7 +72,9 @@ impl BufferedServer {
         aggregator: Box<dyn Aggregator>,
     ) -> Self {
         assert!(aggregation_bound > 0, "aggregation_bound must be positive");
+        let global = Arc::new(global);
         Self {
+            rounds: VecDeque::from([Self::record(&global)]),
             global,
             round: 0,
             buffer: Vec::new(),
@@ -103,6 +117,35 @@ impl BufferedServer {
         &self.global
     }
 
+    /// The current global model as the shared reference the server keeps
+    /// for this round: engines hand it to the clients they start, so one
+    /// copy of each round's model serves every client and every update
+    /// trained from it.
+    pub fn global_arc(&self) -> Arc<Vector> {
+        Arc::clone(&self.global)
+    }
+
+    /// The server's record of the global model of `round`: `Some` for the
+    /// current round and the `staleness_limit` before it, the only rounds
+    /// a report it admits can name.
+    pub fn global_at(&self, round: u64) -> Option<&Arc<Vector>> {
+        self.record_of(round).map(|(model, _)| model)
+    }
+
+    /// The entry of `rounds` for `round`, if it is still recorded.
+    fn record_of(&self, round: u64) -> Option<&(Arc<Vector>, Option<u64>)> {
+        let back = self.round.checked_sub(round)?;
+        let index = (self.rounds.len() as u64).checked_sub(back.checked_add(1)?)?;
+        self.rounds.get(usize::try_from(index).ok()?)
+    }
+
+    /// A round's entry in `rounds`: the model and, in debug builds, its
+    /// fingerprint.
+    fn record(model: &Arc<Vector>) -> (Arc<Vector>, Option<u64>) {
+        let fingerprint = cfg!(debug_assertions).then(|| model_fingerprint(model));
+        (Arc::clone(model), fingerprint)
+    }
+
     /// Current server round (completed aggregations).
     pub fn round(&self) -> u64 {
         self.round
@@ -134,10 +177,10 @@ impl BufferedServer {
         self.discarded_stale
     }
 
-    /// Reports discarded as malformed at receipt: a `params` or `delta`
-    /// dimension that differs from the global model's, a non-finite
-    /// cached `‖params‖²` or `‖delta‖²`, or a base round later than the
-    /// server's current round.
+    /// Reports discarded as malformed at receipt: a `delta` dimension
+    /// that differs from the global model's, a non-finite cached
+    /// `‖delta‖²`, a base round later than the server's current round, or
+    /// a non-finite `‖ω‖²` once ω is resolved against the server's record.
     pub fn discarded_malformed(&self) -> u64 {
         self.discarded_malformed
     }
@@ -155,34 +198,47 @@ impl BufferedServer {
     /// Receives one client report. Returns `Some` when this report
     /// triggered an aggregation.
     ///
-    /// A malformed report is discarded before any other event, because a
-    /// Byzantine client may send anything:
-    /// - a dimension that differs from the global model's would panic the
-    ///   filter pass's vector kernels;
-    /// - a non-finite `‖params‖²` or `‖delta‖²` (both cached, so the check
-    ///   is `O(1)`) would turn an undefended mean aggregate `NaN`;
-    /// - a base round later than the current round names a model the
-    ///   server never sent, and would otherwise score as staleness 0.
+    /// Receipt runs these steps in order; a report leaves at the first it
+    /// fails, because a Byzantine client may send anything:
+    /// 1. **Dimension.** A `delta` whose dimension differs from the global
+    ///    model's would panic the filter pass's vector kernels.
+    /// 2. **`‖δ‖²`.** A non-finite cached `‖delta‖²` (`O(1)`) would turn
+    ///    an undefended mean aggregate `NaN`.
+    /// 3. **Future round.** A base round later than the current round
+    ///    names a model the server never sent, and would otherwise score
+    ///    as staleness 0.
+    /// 4. **Staleness.** A report older than `staleness_limit` rounds is
+    ///    discarded as stale, without resolving a base: its round is
+    ///    beyond the server's record.
+    /// 5. **`‖ω‖²`.** The report is resolved against the server's record
+    ///    of its base round, `ω = ω_base + δ`, and its `‖ω‖²` cached in
+    ///    one read-only pass; a non-finite `‖ω‖²` is discarded.
     ///
-    /// It emits one `UpdateDiscardedMalformed` naming the first failed
-    /// check, in that order, and no `UpdateReceived`.
+    /// Steps 1–3 and 5 are malformed reports: each emits one
+    /// `UpdateDiscardedMalformed` naming the step and no `UpdateReceived`.
+    /// A stale report emits `UpdateReceived`, then `UpdateDiscardedStale`.
+    ///
+    /// In a debug build, an update from [`ClientUpdate::from_delta`]
+    /// carries a fingerprint of the base its caller passed; receipt
+    /// asserts that it matches the server's record of that round.
+    ///
+    /// # Panics
+    ///
+    /// In a debug build, panics if that fingerprint differs from the
+    /// record's.
     pub fn receive(&mut self, mut update: ClientUpdate) -> Option<AggregationReport> {
         self.received += 1;
         if let Some(reason) = self.malformed(&update) {
-            self.discarded_malformed += 1;
-            self.emit(Event::UpdateDiscardedMalformed {
-                client: update.client,
-                round: self.round,
-                reason,
-            });
-            self.emit(Event::CounterAdd {
-                name: "updates_discarded_malformed",
-                delta: 1,
-            });
-            return None;
+            return self.discard_malformed(&update, reason);
         }
         let staleness = self.round - update.base_round;
         update.staleness = staleness;
+        if staleness <= self.staleness_limit {
+            self.resolve(&mut update);
+            if !update.params_norm_squared().is_finite() {
+                return self.discard_malformed(&update, MalformedReason::NonFiniteNorm);
+            }
+        }
         self.emit(Event::UpdateReceived {
             client: update.client,
             round: self.round,
@@ -215,20 +271,59 @@ impl BufferedServer {
         }
     }
 
-    /// The first receipt check `update` fails, if any.
+    /// The first of receipt steps 1–3 `update` fails, if any.
     fn malformed(&self, update: &ClientUpdate) -> Option<MalformedReason> {
-        let dim = self.global.len();
-        if update.params.len() != dim || update.delta.len() != dim {
+        if update.delta.len() != self.global.len() {
             Some(MalformedReason::Dimension)
-        } else if !update.params_norm_squared().is_finite()
-            || !update.delta_norm_squared().is_finite()
-        {
+        } else if !update.delta_norm_squared().is_finite() {
             Some(MalformedReason::NonFiniteNorm)
         } else if update.base_round > self.round {
             Some(MalformedReason::FutureRound)
         } else {
             None
         }
+    }
+
+    /// Counts and reports one malformed discard.
+    fn discard_malformed(
+        &mut self,
+        update: &ClientUpdate,
+        reason: MalformedReason,
+    ) -> Option<AggregationReport> {
+        self.discarded_malformed += 1;
+        self.emit(Event::UpdateDiscardedMalformed {
+            client: update.client,
+            round: self.round,
+            reason,
+        });
+        self.emit(Event::CounterAdd {
+            name: "updates_discarded_malformed",
+            delta: 1,
+        });
+        None
+    }
+
+    /// Attaches the server's record of `update.base_round` as its base
+    /// (receipt step 5). The caller has checked that the round is within
+    /// the record.
+    #[expect(
+        clippy::panic,
+        reason = "receipt screens future and stale rounds first, so a miss is a server bug"
+    )]
+    fn resolve(&self, update: &mut ClientUpdate) {
+        let Some((model, fingerprint)) = self.record_of(update.base_round) else {
+            panic!(
+                "no record of round {} at round {}",
+                update.base_round, self.round
+            );
+        };
+        debug_assert!(
+            update.base_fingerprint().is_none() || update.base_fingerprint() == *fingerprint,
+            "client {}: the base passed to from_delta is not the server's model of round {}",
+            update.client,
+            update.base_round
+        );
+        update.resolve(Arc::clone(model));
     }
 
     /// Runs filter + aggregation over the current buffer, advancing the
@@ -288,11 +383,15 @@ impl BufferedServer {
             rejected: outcome.rejected.len(),
             deferred: outcome.deferred.len(),
         };
-        self.global = {
+        self.global = Arc::new({
             let _span = Span::start(self.sink.as_ref().map(|s| s.as_dyn()), "aggregate");
             self.aggregator.aggregate(&outcome.accepted, &self.global)
-        };
+        });
         self.round += 1;
+        self.rounds.push_back(Self::record(&self.global));
+        while self.rounds.len() as u64 > self.staleness_limit.saturating_add(1) {
+            self.rounds.pop_front();
+        }
         // Deferred updates contribute "at a later stage".
         if !outcome.deferred.is_empty() {
             self.emit(Event::CounterAdd {
@@ -394,6 +493,18 @@ mod tests {
     fn upd(client: usize, base_round: u64, delta: &[f64]) -> ClientUpdate {
         let base = Vector::zeros(delta.len());
         ClientUpdate::from_delta(client, base_round, 0, &base, Vector::from(delta), 10)
+    }
+
+    /// [`upd`] against `s`'s model of `base_round`, as an engine sends it;
+    /// a zero base where `s` has no record of that round at `delta`'s
+    /// dimension.
+    fn upd_on(s: &BufferedServer, client: usize, base_round: u64, delta: &[f64]) -> ClientUpdate {
+        match s.global_at(base_round).filter(|b| b.len() == delta.len()) {
+            Some(base) => {
+                ClientUpdate::from_delta(client, base_round, 0, base, Vector::from(delta), 10)
+            }
+            None => upd(client, base_round, delta),
+        }
     }
 
     #[test]
@@ -791,8 +902,8 @@ mod tests {
             .receive(upd(9, 0, &[500.0]).with_truth_malicious(true))
             .expect("bound reached");
         // Two more buffered (but not aggregated) reports still count.
-        assert!(s.receive(upd(0, 1, &[0.0])).is_none());
-        s.receive(upd(1, 1, &[0.0]));
+        assert!(s.receive(upd_on(&s, 0, 1, &[0.0])).is_none());
+        s.receive(upd_on(&s, 1, 1, &[0.0]));
 
         assert_eq!(
             mem.count_kind("update_received") as u64,
@@ -928,6 +1039,216 @@ mod tests {
         assert_eq!(s.buffer_len(), 0);
     }
 
+    /// Each update a pass saw: its client, base and ω.
+    type SeenPass = Vec<(usize, Arc<Vector>, Vector)>;
+
+    /// Defers client 0's update in the first pass and accepts the rest,
+    /// recording what each pass saw.
+    #[derive(Default)]
+    struct DeferClientZeroOnce {
+        passes: Arc<std::sync::Mutex<Vec<SeenPass>>>,
+    }
+
+    impl asyncfl_core::update::UpdateFilter for DeferClientZeroOnce {
+        fn name(&self) -> &'static str {
+            "defer-client-zero-once"
+        }
+
+        fn filter(
+            &mut self,
+            updates: Vec<ClientUpdate>,
+            _ctx: &asyncfl_core::update::FilterContext<'_>,
+        ) -> asyncfl_core::update::FilterOutcome {
+            let mut passes = self.passes.lock().unwrap();
+            let first = passes.is_empty();
+            passes.push(
+                updates
+                    .iter()
+                    .map(|u| (u.client, Arc::clone(u.base().unwrap()), u.params().unwrap()))
+                    .collect(),
+            );
+            let mut out = asyncfl_core::update::FilterOutcome::default();
+            for u in updates {
+                if first && u.client == 0 {
+                    out.deferred.push(u);
+                } else {
+                    out.accepted.push(u);
+                }
+            }
+            out
+        }
+    }
+
+    /// Every report reads ω against the model of its own base round: a
+    /// stale one received a round later, and a deferred one filtered
+    /// again a pass later, both against round 0's model, not the model
+    /// current at receipt or at the second pass.
+    #[test]
+    fn updates_keep_their_base_rounds_model_across_rounds_and_passes() {
+        let filter = DeferClientZeroOnce::default();
+        let passes = Arc::clone(&filter.passes);
+        let mut s = BufferedServer::new(
+            Vector::from(vec![1.0, 2.0]),
+            2,
+            20,
+            Box::new(filter),
+            Box::new(MeanAggregator::new()),
+        );
+        let round0 = s.global_arc();
+        let on = |s: &BufferedServer, client, round, delta: &[f64]| {
+            let base = s.global_at(round).expect("recorded");
+            ClientUpdate::from_delta(client, round, 0, base, Vector::from(delta), 10)
+        };
+        assert!(s.receive(on(&s, 0, 0, &[0.5, 0.5])).is_none());
+        s.receive(on(&s, 1, 0, &[4.0, 4.0]))
+            .expect("round 0 aggregates");
+        assert_eq!(s.global().as_slice(), &[5.0, 6.0]);
+        let report = s
+            .receive(on(&s, 2, 0, &[1.0, 0.0]))
+            .expect("round 1 aggregates");
+        assert_eq!(report.accepted, 2);
+        let passes = passes.lock().unwrap();
+        let seen: Vec<(usize, bool, &[f64])> = passes[1]
+            .iter()
+            .map(|(client, base, omega)| (*client, Arc::ptr_eq(base, &round0), omega.as_slice()))
+            .collect();
+        assert_eq!(
+            seen,
+            [(0, true, &[1.5, 2.5][..]), (2, true, &[2.0, 2.0][..])],
+            "a report was resolved against a model other than its round's"
+        );
+    }
+
+    /// The engines hand out the server's per-round reference, and the
+    /// record keeps exactly the rounds a report can still name.
+    #[test]
+    fn round_record_spans_the_staleness_limit() {
+        let mut s = server(1, 2);
+        let mut arcs = vec![s.global_arc()];
+        for r in 0..5u64 {
+            let base = s.global_at(r).expect("current round").clone();
+            s.receive(ClientUpdate::from_delta(
+                0,
+                r,
+                0,
+                &base,
+                Vector::from(vec![1.0, 0.0]),
+                1,
+            ))
+            .expect("bound 1 aggregates every report");
+            arcs.push(s.global_arc());
+        }
+        assert_eq!(s.round(), 5);
+        assert!(Arc::ptr_eq(&s.global_arc(), &arcs[5]));
+        for r in 3..=5 {
+            assert!(Arc::ptr_eq(
+                s.global_at(r).expect("recorded"),
+                &arcs[r as usize]
+            ));
+        }
+        assert!(s.global_at(2).is_none(), "beyond the limit");
+        assert!(s.global_at(6).is_none(), "a future round");
+    }
+
+    /// One hostile report per receipt step, each leaving at its own step:
+    /// dimension, then `‖δ‖²`, then a future round, then staleness
+    /// (without resolving: a stale report whose ω would overflow is
+    /// stale, not malformed), then `‖ω‖²` once resolved.
+    #[test]
+    fn receipt_steps_discard_in_order() {
+        use asyncfl_telemetry::{Event, MalformedReason, MemorySink, SharedSink};
+
+        let mem = Arc::new(MemorySink::new(256));
+        // ‖δ‖² = 1e308 is finite; ω = 2e154 at the first coordinate has
+        // ‖ω‖² = 4e308, which overflows.
+        let big = 1e154;
+        let mut s = BufferedServer::new(
+            Vector::from(vec![big, 0.0]),
+            1,
+            1,
+            Box::new(PassthroughFilter),
+            Box::new(asyncfl_core::aggregation::TrimmedMeanAggregator::new(0.0)),
+        )
+        .with_sink(SharedSink::from_arc(mem.clone()));
+        let send = |s: &mut BufferedServer, round: u64, delta: &[f64]| {
+            let base = Vector::from(vec![big, 0.0]);
+            let base = if delta.len() == 2 {
+                base
+            } else {
+                Vector::zeros(delta.len())
+            };
+            let before = mem.events().len();
+            s.receive(ClientUpdate::from_delta(
+                1,
+                round,
+                0,
+                &base,
+                Vector::from(delta),
+                1,
+            ));
+            let events = mem.events().split_off(before);
+            events
+                .into_iter()
+                .filter(|e| e.kind() != "counter_add")
+                .collect::<Vec<_>>()
+        };
+        let malformed = |reason| {
+            vec![Event::UpdateDiscardedMalformed {
+                client: 1,
+                round: 0,
+                reason,
+            }]
+        };
+        // Each report also fails every later step.
+        assert_eq!(
+            send(&mut s, 9, &[f64::NAN; 3]),
+            malformed(MalformedReason::Dimension)
+        );
+        assert_eq!(
+            send(&mut s, 9, &[f64::NAN, 0.0]),
+            malformed(MalformedReason::NonFiniteNorm)
+        );
+        assert_eq!(
+            send(&mut s, 9, &[big, 0.0]),
+            malformed(MalformedReason::FutureRound)
+        );
+        assert_eq!(
+            send(&mut s, 0, &[big, 0.0]),
+            malformed(MalformedReason::NonFiniteNorm)
+        );
+        assert_eq!(s.discarded_malformed(), 4);
+        // Two rounds on, round 0 is beyond the record (limit 1).
+        for r in 0..2 {
+            let base = s.global_at(r).expect("current").clone();
+            s.receive(ClientUpdate::from_delta(
+                2,
+                r,
+                0,
+                &base,
+                Vector::zeros(2),
+                1,
+            ))
+            .expect("bound 1");
+        }
+        assert!(s.global_at(0).is_none());
+        let stale = send(&mut s, 0, &[big, 0.0]);
+        assert_eq!(stale.len(), 2, "{stale:?}");
+        assert_eq!(stale[1].kind(), "update_discarded_stale");
+        assert_eq!((s.discarded_stale(), s.discarded_malformed()), (1, 4));
+    }
+
+    /// In a debug build, a base other than the server's record of the
+    /// round fails receipt.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not the server's model of round 1")]
+    fn debug_base_check_fires_on_a_wrong_base() {
+        let mut s = server(1, 20);
+        s.receive(upd(0, 0, &[1.0, 1.0])).expect("bound 1");
+        // Round 1's model is [1, 1]; a zero base is round 0's.
+        let _ = s.receive(upd(1, 1, &[1.0, 1.0]));
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -966,7 +1287,7 @@ mod tests {
                     } else if round - base_round > limit {
                         stale_at_receipt += 1;
                     }
-                    let _ = s.receive(upd(client, base_round, &[value, -value, value][..dim]));
+                    let _ = s.receive(upd_on(&s, client, base_round, &[value, -value, value][..dim]));
                     prop_assert!(s.round() >= last_round);
                     last_round = s.round();
                     prop_assert!(s.buffer_len() < bound);
@@ -996,7 +1317,7 @@ mod tests {
             ) {
                 let mut s = server(2, 20);
                 for (i, &d) in deltas.iter().enumerate() {
-                    let _ = s.receive(upd(i, s.round(), &[d, d * 0.5]));
+                    let _ = s.receive(upd_on(&s, i, s.round(), &[d, d * 0.5]));
                 }
                 prop_assert!(s.global().is_finite());
             }

@@ -256,11 +256,11 @@ pub fn run_threaded_with_sink(
         Box::new(MeanAggregator::new()),
     );
     buffered.set_sink(sink.clone());
-    let server = Arc::new(Mutex::new(buffered));
     let view = Arc::new(RwLock::new(GlobalView {
-        params: Arc::new(template.params()),
+        params: buffered.global_arc(),
         round: 0,
     }));
+    let server = Arc::new(Mutex::new(buffered));
     let done = Arc::new(AtomicBool::new(false));
     let collusion: Arc<Mutex<VecDeque<Vector>>> = Arc::new(Mutex::new(VecDeque::new()));
     let attack = Arc::from(build_attack(
@@ -355,7 +355,7 @@ pub fn run_threaded_with_sink(
                         let r = s.receive(update);
                         if r.is_some() {
                             let mut v = view.write().unwrap_or_else(PoisonError::into_inner);
-                            v.params = Arc::new(s.global().clone());
+                            v.params = s.global_arc();
                             v.round = s.round();
                         }
                         r

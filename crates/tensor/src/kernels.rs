@@ -31,18 +31,24 @@
 //! ([`adam_step`], [`sgd_momentum_step`]) are element-wise: each
 //! coordinate runs the same formula as the scalar loop it replaces.
 //!
-//! [`lerp_chain_norm_squared`] applies a staleness group's absorbs to its
-//! estimate in one blocked sweep, and the trimmed-mean bootstrap sorts
-//! columns through a branch-free sorting network (`trimmed_mean_network`,
-//! reached through [`crate::stats::trimmed_mean_vector`]). Both keep the
-//! per-element order contract of the per-update and comparison-sort code
-//! they replace.
+//! The filter's kernels read each update's reported model as a
+//! [`Summed`] pair, a shared base plus the update's delta, summed as it
+//! is loaded: [`sum_dots`] computes a staleness group's eq. 6 dots in one
+//! blocked sweep, [`sum_norm_squared`] an update's `‖ω‖²`,
+//! [`lerp_chain_norm_squared`] applies a group's absorbs to its estimate
+//! in one blocked sweep, and the trimmed-mean bootstrap sorts columns
+//! through a branch-free sorting network (`trimmed_mean_network`, reached
+//! through [`crate::stats::trimmed_mean_vector`]). Each keeps the
+//! per-element order contract of the whole-vector, per-update and
+//! comparison-sort code it replaces, on the stored sum.
 //!
 //! # SIMD-width dispatch
 //!
 //! The distance kernels (`dot`, `norm_squared`, `distance_squared`,
-//! `lerp_norm_squared`), the block kernels of [`lerp_chain_norm_squared`]
-//! (`norm_acc`, `lerp`, `lerp_norm_acc`), the sorting network, the three
+//! `lerp_norm_squared`), the block kernels of [`sum_dots`],
+//! [`sum_norm_squared`] and [`lerp_chain_norm_squared`] (`sum_dot_acc`,
+//! `sum_norm_acc`, `sum_lerp_acc`, `sum_copy`), the sorting network's
+//! sort-and-sum step, the three
 //! GEMMs and the two optimizer steps go through runtime ISA dispatch on
 //! x86-64: the portable `*_impl` body is compiled once per
 //! instruction-set level (baseline / AVX2 / AVX-512F) via
@@ -97,28 +103,12 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     dispatch::dot(dispatch::level(), a, b)
 }
 
-/// [`norm_squared`]'s lane and tail accumulators, continued over `a`:
-/// a chunk's squares add to the lanes, a remainder's to the tail. A
-/// sweep split at multiples of [`LANES`] accumulates exactly what one
-/// call over the whole slice would.
-#[inline(always)]
-fn norm_acc_impl(a: &[f64], acc: &mut [f64; LANES], tail: &mut f64) {
-    let mut ca = a.chunks_exact(LANES);
-    for xa in &mut ca {
-        for l in 0..LANES {
-            acc[l] += xa[l] * xa[l];
-        }
-    }
-    for x in ca.remainder() {
-        *tail += x * x;
-    }
-}
-
-/// Portable body of [`norm_squared`].
+/// Portable body of [`norm_squared`]: [`sum_norm_acc_impl`] over `a`
+/// alone.
 #[inline(always)]
 fn norm_squared_impl(a: &[f64]) -> f64 {
     let (mut acc, mut tail) = ([0.0_f64; LANES], 0.0);
-    norm_acc_impl(a, &mut acc, &mut tail);
+    sum_norm_acc_impl(Summed::from(a), &mut acc, &mut tail);
     reduce(acc, tail)
 }
 
@@ -155,17 +145,9 @@ pub(crate) fn distance_squared(a: &[f64], b: &[f64]) -> f64 {
     dispatch::distance_squared(dispatch::level(), a, b)
 }
 
-/// `a ← (1−t)·a + t·b` element-wise, `Vector::lerp`'s formula.
-#[inline(always)]
-fn lerp_impl(a: &mut [f64], b: &[f64], t: f64) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b) {
-        *x = (1.0 - t) * *x + t * y;
-    }
-}
-
-/// [`lerp_impl`] that also continues [`norm_acc_impl`]'s accumulators
-/// over the new values, in the same traversal.
+/// `a ← (1−t)·a + t·b` element-wise (`Vector::lerp`'s formula),
+/// continuing [`norm_squared`]'s lane and tail accumulators over the new
+/// values in the same traversal.
 #[inline(always)]
 fn lerp_norm_acc_impl(a: &mut [f64], b: &[f64], t: f64, acc: &mut [f64; LANES], tail: &mut f64) {
     debug_assert_eq!(a.len(), b.len());
@@ -207,33 +189,344 @@ pub(crate) fn lerp_norm_squared(a: &mut [f64], b: &[f64], t: f64) -> f64 {
     dispatch::lerp_norm_squared(dispatch::level(), a, b, t)
 }
 
-/// Coordinates per block of [`lerp_chain_norm_squared`]'s sweep: 4 KiB of
-/// `f64`s, so the block being written stays in L1 while every source
-/// streams through it once. A multiple of [`LANES`], so a sweep split into
-/// blocks leaves every element in the accumulator lane it had.
-const CHAIN_BLOCK: usize = 512;
-const _: () = assert!(CHAIN_BLOCK.is_multiple_of(LANES));
-
-/// One step of [`lerp_chain_norm_squared`]: the source `b` and the rate
-/// `t` of `a ← (1−t)·a + t·b`, or `None` for the copy `a ← b`.
-pub type LerpStep<'a> = (&'a [f64], Option<f64>);
-
-/// Applies `steps` to `a` in order and returns the final `‖a‖²`.
+/// A vector given as the element-wise sum of two slices, `base[i] +
+/// delta[i]`, or as `delta` alone when there is no base.
 ///
-/// Bit-identical to taking the steps one at a time over the whole slice
-/// (each lerp a fused lerp-and-norm, `Vector::lerp_norm_squared`, each
-/// copy a `copy_from_slice`) and reading the norm after the last one;
-/// with no steps, `a` is unchanged and the result is its
-/// `Vector::norm_squared`. Every coordinate sees the same operations in
-/// the same order, and the norm accumulates in `norm_squared`'s
-/// lane-and-tail order. The sweep runs block by block instead: each block
-/// of 512 coordinates takes every step before the next block is touched,
-/// so `a` is read and written once rather than once per step, and only
-/// the last step accumulates a norm.
+/// A client update carries its reported model ω this way: the global
+/// model it trained from, shared by every update of that round, and its
+/// own difference δ. The kernels that read a `Summed` form each sum as
+/// they load it, so ω is never stored, and each sum rounds to exactly the
+/// `f64` a stored `base + delta` would hold. A missing base reads `delta`
+/// as is: adding a zero base instead would turn `-0.0` into `+0.0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summed<'a> {
+    /// The shared base, if any; as long as `delta` wherever a kernel
+    /// reads it.
+    pub base: Option<&'a [f64]>,
+    /// The per-vector difference.
+    pub delta: &'a [f64],
+}
+
+impl<'a> Summed<'a> {
+    /// Number of coordinates (`delta`'s length).
+    pub fn len(&self) -> usize {
+        self.delta.len()
+    }
+
+    /// `true` when there are no coordinates.
+    pub fn is_empty(&self) -> bool {
+        self.delta.is_empty()
+    }
+
+    /// `true` when `base`, if any, is as long as `delta`.
+    fn consistent(&self) -> bool {
+        self.base.is_none_or(|b| b.len() == self.delta.len())
+    }
+
+    /// The coordinates in `r` of both slices.
+    #[inline(always)]
+    pub(crate) fn slice(self, r: std::ops::Range<usize>) -> Self {
+        Self {
+            base: self.base.map(|b| &b[r.clone()]),
+            delta: &self.delta[r],
+        }
+    }
+
+    /// The summed values, materialized: `base + delta`, or a copy of
+    /// `delta`.
+    pub fn to_vec(self) -> Vec<f64> {
+        match self.base {
+            Some(b) => b.iter().zip(self.delta).map(|(x, y)| x + y).collect(),
+            None => self.delta.to_vec(),
+        }
+    }
+}
+
+impl<'a> From<&'a [f64]> for Summed<'a> {
+    /// One slice read as is.
+    fn from(delta: &'a [f64]) -> Self {
+        Self { base: None, delta }
+    }
+}
+
+/// A type whose values read as a [`Summed`], so a kernel can take a list
+/// of thin references (`&T`, one pointer each) and form each vector's
+/// coordinates as it gathers them.
+pub trait AsSummed {
+    /// This value as a base and a delta.
+    fn as_summed(&self) -> Summed<'_>;
+}
+
+impl AsSummed for crate::Vector {
+    fn as_summed(&self) -> Summed<'_> {
+        Summed::from(self.as_slice())
+    }
+}
+
+/// A kernel's read-only operand, read [`LANES`] coordinates at a time:
+/// one slice, or the pair `(base, delta)` summed as it is read. Each
+/// body is written once over `Operand` and instantiated for both.
+trait Operand: Copy {
+    /// Coordinates `at..at + LANES`.
+    fn lanes(self, at: usize) -> [f64; LANES];
+    /// Coordinate `i`.
+    fn get(self, i: usize) -> f64;
+}
+
+impl Operand for &[f64] {
+    #[inline(always)]
+    fn lanes(self, at: usize) -> [f64; LANES] {
+        chunk(self, at)
+    }
+
+    #[inline(always)]
+    fn get(self, i: usize) -> f64 {
+        self[i]
+    }
+}
+
+impl Operand for (&[f64], &[f64]) {
+    #[inline(always)]
+    fn lanes(self, at: usize) -> [f64; LANES] {
+        let (b, d) = (chunk::<LANES>(self.0, at), chunk::<LANES>(self.1, at));
+        std::array::from_fn(|l| b[l] + d[l])
+    }
+
+    #[inline(always)]
+    fn get(self, i: usize) -> f64 {
+        self.0[i] + self.1[i]
+    }
+}
+
+/// Runs `$body` with `$s` bound to `$summed`'s [`Operand`]: the pair when
+/// it has a base, `delta` alone when it does not.
+macro_rules! with_operand {
+    ($summed:expr, |$s:ident| $body:expr) => {{
+        let summed: Summed<'_> = $summed;
+        match summed.base {
+            Some(base) => {
+                let $s = (base, summed.delta);
+                $body
+            }
+            None => {
+                let $s = summed.delta;
+                $body
+            }
+        }
+    }};
+}
+
+/// Full [`LANES`] chunks in `len` coordinates, as coordinates.
+#[inline(always)]
+fn full_lanes(len: usize) -> usize {
+    len - len % LANES
+}
+
+/// [`dot_impl`]'s lane and tail accumulators, continued over `s · m`:
+/// each chunk's products add to the lanes, the remainder's to the tail.
+#[inline(always)]
+fn sum_dot_acc_impl(s: Summed<'_>, m: &[f64], acc: &mut [f64; LANES], tail: &mut f64) {
+    #[inline(always)]
+    fn body<S: Operand>(s: S, m: &[f64], acc: &mut [f64; LANES], tail: &mut f64) {
+        let full = full_lanes(m.len());
+        for c in 0..full / LANES {
+            let (x, y) = (s.lanes(c * LANES), chunk::<LANES>(m, c * LANES));
+            for l in 0..LANES {
+                acc[l] += x[l] * y[l];
+            }
+        }
+        for (i, y) in m.iter().enumerate().skip(full) {
+            *tail += s.get(i) * y;
+        }
+    }
+    with_operand!(s, |op| body(op, m, acc, tail))
+}
+
+/// [`norm_squared`]'s lane and tail accumulators, continued over the
+/// summed values of `s`: a chunk's squares add to the lanes, a
+/// remainder's to the tail. A sweep split at multiples of [`LANES`]
+/// accumulates exactly what one call over the whole slice would.
+#[inline(always)]
+fn sum_norm_acc_impl(s: Summed<'_>, acc: &mut [f64; LANES], tail: &mut f64) {
+    #[inline(always)]
+    fn body<S: Operand>(s: S, len: usize, acc: &mut [f64; LANES], tail: &mut f64) {
+        let full = full_lanes(len);
+        for c in 0..full / LANES {
+            let x = s.lanes(c * LANES);
+            for l in 0..LANES {
+                acc[l] += x[l] * x[l];
+            }
+        }
+        for i in full..len {
+            let x = s.get(i);
+            *tail += x * x;
+        }
+    }
+    let len = s.len();
+    with_operand!(s, |op| body(op, len, acc, tail))
+}
+
+/// `a ← (1−t)·a + t·s` element-wise, `Vector::lerp`'s formula, over the
+/// summed values of `s`; with `acc`, also continues [`norm_squared`]'s
+/// accumulators over the new values in the same traversal.
+#[inline(always)]
+fn sum_lerp_acc_impl(
+    a: &mut [f64],
+    s: Summed<'_>,
+    t: f64,
+    acc: Option<(&mut [f64; LANES], &mut f64)>,
+) {
+    #[inline(always)]
+    fn body<S: Operand, const NORM: bool>(
+        a: &mut [f64],
+        s: S,
+        t: f64,
+        acc: &mut [f64; LANES],
+        tail: &mut f64,
+    ) {
+        let full = full_lanes(a.len());
+        let (lanes, rest) = a.split_at_mut(full);
+        for (c, xa) in lanes.chunks_exact_mut(LANES).enumerate() {
+            let y = s.lanes(c * LANES);
+            for l in 0..LANES {
+                let v = (1.0 - t) * xa[l] + t * y[l];
+                xa[l] = v;
+                if NORM {
+                    acc[l] += v * v;
+                }
+            }
+        }
+        for (i, x) in rest.iter_mut().enumerate() {
+            let v = (1.0 - t) * *x + t * s.get(full + i);
+            *x = v;
+            if NORM {
+                *tail += v * v;
+            }
+        }
+    }
+    match acc {
+        Some((acc, tail)) => with_operand!(s, |op| body::<_, true>(a, op, t, acc, tail)),
+        None => {
+            let (mut acc, mut tail) = ([0.0; LANES], 0.0);
+            with_operand!(s, |op| body::<_, false>(a, op, t, &mut acc, &mut tail));
+        }
+    }
+}
+
+/// `a ← s`: the summed values of `s`, or a copy of its delta.
+#[inline(always)]
+fn sum_copy_impl(a: &mut [f64], s: Summed<'_>) {
+    match s.base {
+        Some(b) => {
+            for ((x, y), z) in a.iter_mut().zip(b).zip(s.delta) {
+                *x = y + z;
+            }
+        }
+        None => a.copy_from_slice(s.delta),
+    }
+}
+
+/// `‖s‖²` of the summed values: bit-identical to `norm_squared` of the
+/// stored sum, in one read-only pass over both slices.
 ///
 /// # Panics
 ///
-/// Panics if a source's length differs from `a`'s.
+/// Panics if `s.base` and `s.delta` differ in length.
+pub fn sum_norm_squared(s: Summed<'_>) -> f64 {
+    assert!(
+        s.consistent(),
+        "sum_norm_squared: base and delta lengths differ"
+    );
+    let (mut acc, mut tail) = ([0.0_f64; LANES], 0.0);
+    dispatch::sum_norm_acc(dispatch::level(), s, &mut acc, &mut tail);
+    reduce(acc, tail)
+}
+
+/// Coordinates per block of [`lerp_chain_norm_squared`]'s and
+/// [`sum_dots`]' sweeps: 4 KiB of `f64`s, so the block of the shared
+/// operand (and of a shared base) stays in L1 while every source streams
+/// through it once. A multiple of [`LANES`], so a sweep split into blocks
+/// leaves every element in the accumulator lane it had.
+const CHAIN_BLOCK: usize = 512;
+const _: () = assert!(CHAIN_BLOCK.is_multiple_of(LANES));
+
+/// Members per [`sum_dots`] sweep, each with its lane accumulators on the
+/// stack: a larger group takes one sweep per this many members.
+const DOTS_PER_SWEEP: usize = 16;
+
+/// `out[j] = dot(members[j], m)` over the summed values of each member:
+/// bit-identical, member by member, to [`dot`] of the stored sum `ω` and
+/// `m` (each member keeps `dot`'s eight lane accumulators, scalar tail and
+/// `reduce` tree).
+///
+/// The sweep runs block by block: each block of `m` is read once for up
+/// to 16 members, and members that share a base (every update of one
+/// staleness group in a pass does) read that block of it from cache. So
+/// a group of `k` updates reads `m` and the base about `k / 16` times
+/// rather than `k` times.
+///
+/// # Panics
+///
+/// Panics if `out` and `members` differ in count, or a member's base or
+/// delta differs in length from `m`.
+pub fn sum_dots<'a, I>(m: &[f64], members: I, out: &mut [f64])
+where
+    I: Iterator<Item = Summed<'a>> + Clone,
+{
+    sum_dots_at(dispatch::level(), m, members, out);
+}
+
+/// [`sum_dots`] with its block kernel run at `level`.
+fn sum_dots_at<'a, I>(level: u8, m: &[f64], members: I, out: &mut [f64])
+where
+    I: Iterator<Item = Summed<'a>> + Clone,
+{
+    let len = m.len();
+    assert!(
+        members.clone().count() == out.len()
+            && members.clone().all(|s| s.len() == len && s.consistent()),
+        "sum_dots: {} outputs, or a member's length differs from {len}",
+        out.len()
+    );
+    for (sweep, outs) in out.chunks_mut(DOTS_PER_SWEEP).enumerate() {
+        let batch = members
+            .clone()
+            .skip(sweep * DOTS_PER_SWEEP)
+            .take(outs.len());
+        let mut acc = [[0.0_f64; LANES]; DOTS_PER_SWEEP];
+        let mut tail = [0.0_f64; DOTS_PER_SWEEP];
+        for at in (0..len).step_by(CHAIN_BLOCK) {
+            let r = at..len.min(at + CHAIN_BLOCK);
+            for ((s, acc), tail) in batch.clone().zip(&mut acc).zip(&mut tail) {
+                dispatch::sum_dot_acc(level, s.slice(r.clone()), &m[r.clone()], acc, tail);
+            }
+        }
+        for ((o, acc), tail) in outs.iter_mut().zip(acc).zip(tail) {
+            *o = reduce(acc, tail);
+        }
+    }
+}
+
+/// One step of [`lerp_chain_norm_squared`]: the source `s` and the rate
+/// `t` of `a ← (1−t)·a + t·s`, or `None` for the copy `a ← s`.
+pub type LerpStep<'a> = (Summed<'a>, Option<f64>);
+
+/// Applies `steps` to `a` in order and returns the final `‖a‖²`.
+///
+/// Bit-identical to taking the steps one at a time over the whole slice,
+/// each source stored as its sum (each lerp a fused lerp-and-norm,
+/// `Vector::lerp_norm_squared`, each copy a `copy_from_slice`) and
+/// reading the norm after the last one; with no steps, `a` is unchanged
+/// and the result is its `Vector::norm_squared`. Every coordinate sees
+/// the same operations in the same order, and the norm accumulates in
+/// `norm_squared`'s lane-and-tail order. The sweep runs block by block
+/// instead: each block of 512 coordinates takes every step before the
+/// next block is touched, so `a` is read and written once rather than
+/// once per step, and only the last step accumulates a norm.
+///
+/// # Panics
+///
+/// Panics if a source's base or delta length differs from `a`'s.
 pub fn lerp_chain_norm_squared<'a, I>(a: &mut [f64], steps: I) -> f64
 where
     I: Iterator<Item = LerpStep<'a>> + Clone,
@@ -249,25 +542,27 @@ where
     let len = a.len();
     let count = steps.clone().count();
     assert!(
-        steps.clone().all(|(b, _)| b.len() == len),
+        steps.clone().all(|(s, _)| s.len() == len && s.consistent()),
         "lerp_chain_norm_squared: a source's length differs from {len}"
     );
     let (mut acc, mut tail) = ([0.0_f64; LANES], 0.0);
     if count == 0 {
-        dispatch::norm_acc(level, a, &mut acc, &mut tail);
+        dispatch::sum_norm_acc(level, Summed::from(&*a), &mut acc, &mut tail);
     }
     for (blk, block) in a.chunks_mut(CHAIN_BLOCK).enumerate() {
         let at = blk * CHAIN_BLOCK;
-        for (k, (b, t)) in steps.clone().enumerate() {
-            let b = &b[at..at + block.len()];
+        for (k, (s, t)) in steps.clone().enumerate() {
+            let s = s.slice(at..at + block.len());
             let last = k + 1 == count;
             match t {
-                Some(t) if last => dispatch::lerp_norm_acc(level, block, b, t, &mut acc, &mut tail),
-                Some(t) => dispatch::lerp(level, block, b, t),
+                Some(t) if last => {
+                    dispatch::sum_lerp_acc(level, block, s, t, Some((&mut acc, &mut tail)));
+                }
+                Some(t) => dispatch::sum_lerp_acc(level, block, s, t, None),
                 None => {
-                    block.copy_from_slice(b);
+                    dispatch::sum_copy(level, block, s);
                     if last {
-                        dispatch::norm_acc(level, block, &mut acc, &mut tail);
+                        dispatch::sum_norm_acc(level, Summed::from(&*block), &mut acc, &mut tail);
                     }
                 }
             }
@@ -326,51 +621,56 @@ fn merge_sort_network(n: usize) -> Vec<(u32, u32)> {
     pairs
 }
 
-/// Portable body of [`trimmed_mean_network`]. Per block of [`LANES`]
-/// coordinates: gathers each vector's keys into its row of `rows` (one
-/// lane per coordinate), sorts every lane at once through `network` with
-/// lane-wise `min`/`max` (no branch), and sums each lane's kept middle in
-/// ascending key order from `-0.0`, as [`sum_seq`] does. A short last
-/// block leaves stale keys in its unused lanes and drops their sums.
+/// Calls `f(i, key)` with the [`total_order_key`] of each summed value of
+/// `s`, in coordinate order.
 #[inline(always)]
-fn trimmed_mean_network_impl(
-    out: &mut [f64],
-    vectors: &[&[f64]],
-    network: &[(u32, u32)],
-    rows: &mut [[i64; LANES]],
-    trim: usize,
-) {
-    let kept = rows.len() - 2 * trim;
-    for (blk, outs) in out.chunks_mut(LANES).enumerate() {
-        let at = blk * LANES;
-        for (row, v) in rows.iter_mut().zip(vectors) {
-            for (key, &x) in row.iter_mut().zip(&v[at..at + outs.len()]) {
-                *key = total_order_key(x);
+pub(crate) fn for_each_key(s: Summed<'_>, mut f: impl FnMut(usize, i64)) {
+    match s.base {
+        Some(b) => {
+            for (i, (x, y)) in b.iter().zip(s.delta).enumerate() {
+                f(i, total_order_key(x + y));
             }
         }
-        for &(i, j) in network {
-            let (below, from_j) = rows.split_at_mut(j as usize);
-            let (lo, hi) = (&mut below[i as usize], &mut from_j[0]);
-            // `min`/`max` spelled as a masked swap: LLVM vectorizes this
-            // form (a compare and three xors per register) at AVX2 and
-            // AVX-512, and leaves `i64::min`/`max` as scalar `cmov`s.
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (x, y) = (*a, *b);
-                let swap = (x ^ y) & -i64::from(y < x);
-                *a = x ^ swap;
-                *b = y ^ swap;
+        None => {
+            for (i, &x) in s.delta.iter().enumerate() {
+                f(i, total_order_key(x));
             }
-        }
-        let mut sums = [-0.0_f64; LANES];
-        for row in &rows[trim..trim + kept] {
-            for l in 0..LANES {
-                sums[l] += from_total_order_key(row[l]);
-            }
-        }
-        for (o, s) in outs.iter_mut().zip(sums) {
-            *o = s / kept as f64;
         }
     }
+}
+
+/// Portable body of the sorting network's block step: sorts every lane
+/// of `rows` (one row per vector, one lane per coordinate) at once
+/// through `network` with lane-wise `min`/`max` (no branch), and returns
+/// each lane's kept middle summed in ascending key order from `-0.0`, as
+/// [`sum_seq`] does.
+#[inline(always)]
+fn network_sort_sum_impl(
+    rows: &mut [[i64; LANES]],
+    network: &[(u32, u32)],
+    trim: usize,
+) -> [f64; LANES] {
+    let kept = rows.len() - 2 * trim;
+    for &(i, j) in network {
+        let (below, from_j) = rows.split_at_mut(j as usize);
+        let (lo, hi) = (&mut below[i as usize], &mut from_j[0]);
+        // `min`/`max` spelled as a masked swap: LLVM vectorizes this
+        // form (a compare and three xors per register) at AVX2 and
+        // AVX-512, and leaves `i64::min`/`max` as scalar `cmov`s.
+        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+            let (x, y) = (*a, *b);
+            let swap = (x ^ y) & -i64::from(y < x);
+            *a = x ^ swap;
+            *b = y ^ swap;
+        }
+    }
+    let mut sums = [-0.0_f64; LANES];
+    for row in &rows[trim..trim + kept] {
+        for l in 0..LANES {
+            sums[l] += from_total_order_key(row[l]);
+        }
+    }
+    sums
 }
 
 /// ISA levels for tests to run a kernel at: every level up to the one
@@ -387,6 +687,11 @@ pub(crate) fn isa_levels() -> std::ops::RangeInclusive<u8> {
 /// run of keys a comparison sort leaves, so the sum sees the same values
 /// in the same order, bit for bit.
 ///
+/// Per block of [`LANES`] coordinates, each vector's summed values
+/// ([`AsSummed`]) are gathered as keys into its row, and the block is
+/// sorted and summed at the dispatched ISA level. A short last block
+/// leaves stale keys in its unused lanes and drops their sums.
+///
 /// A Batcher network ([`merge_sort_network`]) costs `O(n log² n)`
 /// comparators per [`LANES`] coordinates, each one vector `min` and
 /// `max`. It beats selection only while `n` is small; the caller picks.
@@ -394,22 +699,46 @@ pub(crate) fn isa_levels() -> std::ops::RangeInclusive<u8> {
 /// # Panics
 ///
 /// Panics if `vectors` is empty, `2 * trim >= vectors.len()`, or a vector's
-/// length differs from `out`'s.
-pub(crate) fn trimmed_mean_network(out: &mut [f64], vectors: &[&[f64]], trim: usize) {
+/// base or delta length differs from `out`'s.
+pub(crate) fn trimmed_mean_network<T: AsSummed + ?Sized>(
+    out: &mut [f64],
+    vectors: &[&T],
+    trim: usize,
+) {
     trimmed_mean_network_at(dispatch::level(), out, vectors, trim);
 }
 
 /// [`trimmed_mean_network`] run at `level`.
-pub(crate) fn trimmed_mean_network_at(level: u8, out: &mut [f64], vectors: &[&[f64]], trim: usize) {
+pub(crate) fn trimmed_mean_network_at<T: AsSummed + ?Sized>(
+    level: u8,
+    out: &mut [f64],
+    vectors: &[&T],
+    trim: usize,
+) {
     let n = vectors.len();
     assert!(
-        2 * trim < n && vectors.iter().all(|v| v.len() == out.len()),
+        2 * trim < n
+            && vectors.iter().all(|v| {
+                let s = v.as_summed();
+                s.len() == out.len() && s.consistent()
+            }),
         "trimmed_mean_network: {n} vectors, trim {trim}, or a length other than {}",
         out.len()
     );
     let network = merge_sort_network(n);
     let mut rows = vec![[0_i64; LANES]; n];
-    dispatch::trimmed_mean_network(level, out, vectors, &network, &mut rows, trim);
+    let kept = n - 2 * trim;
+    for (blk, outs) in out.chunks_mut(LANES).enumerate() {
+        let at = blk * LANES;
+        for (row, v) in rows.iter_mut().zip(vectors) {
+            let s = v.as_summed().slice(at..at + outs.len());
+            for_each_key(s, |l, key| row[l] = key);
+        }
+        let sums = dispatch::network_sort_sum(level, &mut rows, &network, trim);
+        for (o, s) in outs.iter_mut().zip(sums) {
+            *o = s / kept as f64;
+        }
+    }
 }
 
 /// Plain sum `Σ aᵢ`.
@@ -996,10 +1325,11 @@ mod dispatch {
         norm_squared => norm_squared_impl(a: &[f64]) -> f64;
         distance_squared => distance_squared_impl(a: &[f64], b: &[f64]) -> f64;
         lerp_norm_squared => lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64;
-        norm_acc => norm_acc_impl(a: &[f64], acc: &mut [f64; LANES], tail: &mut f64);
-        lerp => lerp_impl(a: &mut [f64], b: &[f64], t: f64);
-        lerp_norm_acc => lerp_norm_acc_impl(a: &mut [f64], b: &[f64], t: f64, acc: &mut [f64; LANES], tail: &mut f64);
-        trimmed_mean_network => trimmed_mean_network_impl(out: &mut [f64], vectors: &[&[f64]], network: &[(u32, u32)], rows: &mut [[i64; LANES]], trim: usize);
+        sum_dot_acc => sum_dot_acc_impl(s: Summed<'_>, m: &[f64], acc: &mut [f64; LANES], tail: &mut f64);
+        sum_norm_acc => sum_norm_acc_impl(s: Summed<'_>, acc: &mut [f64; LANES], tail: &mut f64);
+        sum_lerp_acc => sum_lerp_acc_impl(a: &mut [f64], s: Summed<'_>, t: f64, acc: Option<(&mut [f64; LANES], &mut f64)>);
+        sum_copy => sum_copy_impl(a: &mut [f64], s: Summed<'_>);
+        network_sort_sum => network_sort_sum_impl(rows: &mut [[i64; LANES]], network: &[(u32, u32)], trim: usize) -> [f64; LANES];
         gemm_nt => gemm_nt_impl(out: &mut [f64], a: &[f64], b: &[f64], bt: &mut [f64], shape: (usize, usize, usize));
         gemm_nn => gemm_nn_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize);
         gemm_tn_acc => gemm_tn_acc_impl(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize);
@@ -1336,13 +1666,13 @@ mod tests {
     }
 
     /// The chain one step at a time over the whole slice at the baseline
-    /// level: each lerp a fused `lerp_norm_squared`, each copy a
-    /// `copy_from_slice` and a fresh `norm_squared`, the last step's norm
-    /// returned.
-    fn per_step_chain(a: &mut [f64], steps: &[LerpStep<'_>]) -> f64 {
+    /// level, each source stored as its sum: each lerp a fused
+    /// `lerp_norm_squared`, each copy a `copy_from_slice` and a fresh
+    /// `norm_squared`, the last step's norm returned.
+    fn per_step_chain(a: &mut [f64], steps: &[(Vec<f64>, Option<f64>)]) -> f64 {
         let mut norm = norm_squared_impl(a);
-        for &(b, t) in steps {
-            norm = match t {
+        for (b, t) in steps {
+            norm = match *t {
                 Some(t) => lerp_norm_squared_impl(a, b, t),
                 None => {
                     a.copy_from_slice(b);
@@ -1353,51 +1683,159 @@ mod tests {
         norm
     }
 
+    /// The blocked chain against [`per_step_chain`] over the stored sums,
+    /// at every level: sources read alone and as a shared base plus their
+    /// delta, under Robbins–Monro rates, an EMA from an adoption, an
+    /// adoption alone, a warm EMA and no steps.
     #[test]
     fn lerp_chain_is_bit_identical_to_per_step_kernels_at_every_level() {
         // Lengths straddle the lane width and the block: a partial chunk
         // tail, exact blocks, and a partial last block.
         for n in [0usize, 1, 7, 8, 9, 511, 512, 513, 1030, 1537] {
-            let sources: Vec<Vec<f64>> = (0..6)
+            let base = special_data(n, 7.5, false);
+            let deltas: Vec<Vec<f64>> = (0..6)
                 .map(|k| special_data(n, 0.3 + k as f64, k == 5))
                 .collect();
-            let rm: Vec<LerpStep<'_>> = sources
-                .iter()
-                .enumerate()
-                .map(|(k, b)| (b.as_slice(), Some(1.0 / (k as f64 + 1.0))))
-                .collect();
-            let ema_cold: Vec<LerpStep<'_>> = sources
-                .iter()
-                .enumerate()
-                .map(|(k, b)| (b.as_slice(), (k > 0).then_some(0.2)))
-                .collect();
-            let cases: [(&str, &[LerpStep<'_>]); 5] = [
-                ("robbins-monro", &rm),
-                ("ema from adopt", &ema_cold),
-                ("adopt only", &ema_cold[..1]),
-                ("ema warm", &ema_cold[1..]),
-                ("no steps", &[]),
-            ];
-            for (what, steps) in cases {
-                let start = special_data(n, 9.0, false);
-                let mut want = start.clone();
-                let want_norm = per_step_chain(&mut want, steps);
-                for level in isa_levels() {
-                    let mut got = start.clone();
-                    let got_norm = lerp_chain_at(level, &mut got, steps.iter().copied());
-                    let at = format!("{what} n={n} level={level}");
-                    assert!(same_bits(got_norm, want_norm), "{at}: norm");
-                    assert_same_bits(&got, &want, &at);
+            for shared in [None, Some(base.as_slice())] {
+                let sources: Vec<Summed<'_>> = deltas
+                    .iter()
+                    .map(|d| Summed {
+                        base: shared,
+                        delta: d,
+                    })
+                    .collect();
+                let rm: Vec<LerpStep<'_>> = sources
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &s)| (s, Some(1.0 / (k as f64 + 1.0))))
+                    .collect();
+                let ema_cold: Vec<LerpStep<'_>> = sources
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &s)| (s, (k > 0).then_some(0.2)))
+                    .collect();
+                let cases: [(&str, &[LerpStep<'_>]); 5] = [
+                    ("robbins-monro", &rm),
+                    ("ema from adopt", &ema_cold),
+                    ("adopt only", &ema_cold[..1]),
+                    ("ema warm", &ema_cold[1..]),
+                    ("no steps", &[]),
+                ];
+                for (what, steps) in cases {
+                    let stored: Vec<(Vec<f64>, Option<f64>)> =
+                        steps.iter().map(|&(s, t)| (s.to_vec(), t)).collect();
+                    let start = special_data(n, 9.0, false);
+                    let mut want = start.clone();
+                    let want_norm = per_step_chain(&mut want, &stored);
+                    for level in isa_levels() {
+                        let mut got = start.clone();
+                        let got_norm = lerp_chain_at(level, &mut got, steps.iter().copied());
+                        let at = format!("{what} n={n} base={} level={level}", shared.is_some());
+                        assert!(same_bits(got_norm, want_norm), "{at}: norm");
+                        assert_same_bits(&got, &want, &at);
+                    }
                 }
             }
         }
+    }
+
+    /// A missing base reads the delta as is: a `-0.0` coordinate stays
+    /// `-0.0` through an adoption, where adding a zero base would make it
+    /// `+0.0`.
+    #[test]
+    fn a_missing_base_reads_the_delta_as_is() {
+        let delta = [-0.0, 1.0, -0.0];
+        let mut a = [5.0; 3];
+        let _ = lerp_chain_norm_squared(&mut a, [(Summed::from(&delta[..]), None)].into_iter());
+        assert_eq!(a.map(f64::to_bits), delta.map(f64::to_bits));
+        let zero = [0.0; 3];
+        let summed = Summed {
+            base: Some(&zero[..]),
+            delta: &delta,
+        };
+        assert_eq!(summed.to_vec()[0].to_bits(), 0.0_f64.to_bits());
+    }
+
+    /// The lane contract written out: `a[i]·b[i]` into lane `i % 8` for
+    /// every full chunk, the rest into a tail, each from `0.0`, folded by
+    /// `reduce`.
+    fn lane_dot(a: &[f64], b: &[f64]) -> f64 {
+        let full = a.len() - a.len() % LANES;
+        let mut acc = [0.0; LANES];
+        let mut tail = 0.0;
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            if i < full {
+                acc[i % LANES] += x * y;
+            } else {
+                tail += x * y;
+            }
+        }
+        reduce(acc, tail)
+    }
+
+    /// `sum_dots` and `sum_norm_squared` against the lane contract of
+    /// `dot` and `norm_squared` on the stored sums, at every level: members alone and on a shared
+    /// base, groups of 1, 16 and 21 members (one sweep, a full sweep, a
+    /// second partial sweep), lengths around the lane width and block.
+    #[test]
+    fn sum_dots_and_norms_are_bit_identical_to_the_stored_sum_at_every_level() {
+        for n in [0usize, 1, 7, 8, 9, 511, 512, 513, 1030] {
+            let m = special_data(n, 4.5, false);
+            let bases = [special_data(n, 1.25, false), special_data(n, 2.75, true)];
+            let deltas: Vec<Vec<f64>> = (0..21)
+                .map(|k| special_data(n, 0.1 * k as f64, k == 20))
+                .collect();
+            // Members cycle through no base and the two bases, so
+            // consecutive members mix shared and distinct bases.
+            let members: Vec<Summed<'_>> = deltas
+                .iter()
+                .enumerate()
+                .map(|(k, d)| Summed {
+                    base: [None, Some(bases[0].as_slice()), Some(&bases[1])][k % 3],
+                    delta: d,
+                })
+                .collect();
+            for count in [1, 16, 21] {
+                let group = &members[..count];
+                let want: Vec<f64> = group.iter().map(|s| lane_dot(&s.to_vec(), &m)).collect();
+                for level in isa_levels() {
+                    let mut got = vec![f64::NAN; count];
+                    sum_dots_at(level, &m, group.iter().copied(), &mut got);
+                    assert_same_bits(&got, &want, &format!("dots n={n} k={count} level={level}"));
+                }
+            }
+            for (k, &s) in members.iter().enumerate() {
+                let stored = s.to_vec();
+                let want = lane_dot(&stored, &stored);
+                for level in isa_levels() {
+                    let (mut acc, mut tail) = ([0.0; LANES], 0.0);
+                    dispatch::sum_norm_acc(level, s, &mut acc, &mut tail);
+                    let at = format!("norm n={n} member {k} level={level}");
+                    assert!(same_bits(reduce(acc, tail), want), "{at}");
+                }
+                assert!(same_bits(sum_norm_squared(s), want));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sum_dots")]
+    fn sum_dots_rejects_a_short_base() {
+        let (m, d, b) = ([1.0; 9], [1.0; 9], [1.0; 8]);
+        let member = Summed {
+            base: Some(&b[..]),
+            delta: &d,
+        };
+        sum_dots(&m, [member].into_iter(), &mut [0.0]);
     }
 
     #[test]
     #[should_panic(expected = "lerp_chain_norm_squared")]
     fn lerp_chain_rejects_a_short_source() {
         let mut a = vec![0.0; 9];
-        let _ = lerp_chain_norm_squared(&mut a, [(&[1.0; 8][..], Some(0.5))].into_iter());
+        let short = [1.0; 8];
+        let _ =
+            lerp_chain_norm_squared(&mut a, [(Summed::from(&short[..]), Some(0.5))].into_iter());
     }
 
     #[test]

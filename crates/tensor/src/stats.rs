@@ -5,7 +5,7 @@
 //! implementations (LIE, Min-Max, Min-Sum) use the per-coordinate mean and
 //! standard deviation of benign updates.
 
-use crate::kernels::{self, from_total_order_key, total_order_key};
+use crate::kernels::{self, from_total_order_key, total_order_key, AsSummed};
 use crate::Vector;
 
 /// Arithmetic mean of a scalar slice; `0.0` for an empty slice.
@@ -121,25 +121,35 @@ pub fn std_vector(vectors: &[Vector]) -> Option<Vector> {
 /// rule of Yin et al. 2018). Each coordinate is [`median`] of its column, by
 /// selection.
 ///
+/// Borrows its inputs like [`trimmed_mean_vector`]: any iterator of
+/// references to [`AsSummed`] values, so no vector is cloned.
+///
 /// Returns `None` for an empty collection. NaNs sort to the high end under
 /// `total_cmp`, as in [`median`].
 ///
 /// # Panics
 ///
 /// Panics if the vectors have differing dimensions.
-pub fn median_vector(vectors: &[Vector]) -> Option<Vector> {
+pub fn median_vector<'a, T, I>(vectors: I) -> Option<Vector>
+where
+    T: AsSummed + ?Sized + 'a,
+    I: IntoIterator<Item = &'a T>,
+{
+    let vectors: Vec<&T> = vectors.into_iter().collect();
     vectors.first()?;
-    Some(reduce_key_columns(vectors, median_of_keys))
+    Some(reduce_key_columns(&vectors, median_of_keys))
 }
 
 /// Coordinate-wise β-trimmed mean (the Trimmed-Mean aggregation rule of Yin
 /// et al. 2018): for each coordinate, drop the `trim` largest and `trim`
 /// smallest values, then average the rest.
 ///
-/// Accepts any iterator of *borrowed* vectors (`&[Vector]`, a `Vec<&Vector>`,
-/// or a `map` over update fields), so hot-path callers never clone full
-/// parameter vectors just to build the input slice — only an O(n) buffer of
-/// references is gathered internally.
+/// Accepts any iterator of *borrowed* [`AsSummed`] values (`&[Vector]`, a
+/// `Vec<&Vector>`, a `map` over update fields, or client updates whose
+/// reported model is a shared base plus their delta), so hot-path callers
+/// never clone or materialize a vector just to build the input: only an
+/// O(n) list of thin references is gathered internally, and each value is
+/// formed as its column is gathered.
 ///
 /// Returns `None` for an empty collection.
 ///
@@ -157,12 +167,13 @@ pub fn median_vector(vectors: &[Vector]) -> Option<Vector> {
 ///
 /// Panics if `2 * trim >= vectors.len()` (nothing would remain) or if the
 /// vectors have differing dimensions.
-pub fn trimmed_mean_vector<'a, I>(vectors: I, trim: usize) -> Option<Vector>
+pub fn trimmed_mean_vector<'a, T, I>(vectors: I, trim: usize) -> Option<Vector>
 where
-    I: IntoIterator<Item = &'a Vector>,
+    T: AsSummed + ?Sized + 'a,
+    I: IntoIterator<Item = &'a T>,
 {
-    let vectors: Vec<&[f64]> = vectors.into_iter().map(Vector::as_slice).collect();
-    let dim = vectors.first()?.len();
+    let vectors: Vec<&T> = vectors.into_iter().collect();
+    let dim = vectors.first()?.as_summed().len();
     assert!(
         2 * trim < vectors.len(),
         "trimmed_mean: trim {trim} leaves no samples out of {}",
@@ -197,23 +208,24 @@ const NETWORK_MAX_VECTORS: usize = 128;
 const GATHER_BLOCK: usize = 8;
 
 /// The vector whose coordinate `d` is `reduce(column_d)`, where `column_d`
-/// holds coordinate `d`'s [`total_order_key`]s in vector order (`reduce`
-/// may reorder it). Requires a non-empty collection of equal dimensions.
-fn reduce_key_columns<V: AsRef<[f64]>>(
-    vectors: &[V],
+/// holds coordinate `d`'s [`total_order_key`]s of the summed values in
+/// vector order (`reduce` may reorder it). Requires a non-empty
+/// collection of equal dimensions.
+fn reduce_key_columns<T: AsSummed + ?Sized>(
+    vectors: &[&T],
     mut reduce: impl FnMut(&mut [i64]) -> f64,
 ) -> Vector {
     let n = vectors.len();
-    let dim = vectors.first().map_or(0, |v| v.as_ref().len());
+    let dim = vectors.first().map_or(0, |v| v.as_summed().len());
     let mut out = Vector::zeros(dim);
     let mut block = vec![0i64; GATHER_BLOCK * n];
     for (b0, outs) in out.as_mut_slice().chunks_mut(GATHER_BLOCK).enumerate() {
         let d0 = b0 * GATHER_BLOCK;
         for (i, v) in vectors.iter().enumerate() {
-            let coords = &v.as_ref()[d0..d0 + outs.len()]; // lint:allow(P2) -- equal dims are the callers' documented contract
-            for (b, &x) in coords.iter().enumerate() {
-                block[b * n + i] = total_order_key(x); // lint:allow(P2) -- b < GATHER_BLOCK and i < n
-            }
+            let coords = v.as_summed().slice(d0..d0 + outs.len());
+            kernels::for_each_key(coords, |b, key| {
+                block[b * n + i] = key; // lint:allow(P2) -- b < GATHER_BLOCK and i < n
+            });
         }
         for (o, column) in outs.iter_mut().zip(block.chunks_exact_mut(n)) {
             *o = reduce(column);
@@ -347,12 +359,12 @@ mod tests {
             let vectors: Vec<Vector> = (0..n)
                 .map(|_| Vector::from_fn(dim, |_| hostile_value(&mut rng)))
                 .collect();
-            let slices: Vec<&[f64]> = vectors.iter().map(|v| v.as_slice()).collect();
+            let refs: Vec<&Vector> = vectors.iter().collect();
             for trim in [0, n / 4, (n - 1) / 2] {
                 let reference = bits(&trimmed_mean_reference(&vectors, trim));
                 for level in kernels::isa_levels() {
                     let mut out = vec![f64::NAN; dim];
-                    kernels::trimmed_mean_network_at(level, &mut out, &slices, trim);
+                    kernels::trimmed_mean_network_at(level, &mut out, &refs, trim);
                     assert_eq!(bits(&out), reference, "n {n}, trim {trim}, level {level}");
                 }
                 if n >= crossover - 1 {
@@ -360,6 +372,69 @@ mod tests {
                     assert_eq!(bits(public.as_slice()), reference, "n {n}, trim {trim}");
                 }
             }
+        }
+    }
+
+    /// A vector stored as a shared base plus its own delta.
+    struct OnBase<'a> {
+        base: &'a Vector,
+        delta: Vector,
+    }
+
+    impl AsSummed for OnBase<'_> {
+        fn as_summed(&self) -> kernels::Summed<'_> {
+            kernels::Summed {
+                base: Some(self.base.as_slice()),
+                delta: self.delta.as_slice(),
+            }
+        }
+    }
+
+    /// Trimmed means and medians of vectors given as a shared base plus
+    /// their deltas against the same statistics of the stored sums: the
+    /// network at every ISA level and the public entry on both sides of
+    /// the crossover (selection above it), over hostile columns.
+    #[test]
+    fn summed_inputs_match_the_stored_sums_on_every_path() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let dim = 13;
+        let base = Vector::from_fn(dim, |_| hostile_value(&mut rng));
+        for n in [
+            1usize,
+            2,
+            5,
+            32,
+            NETWORK_MAX_VECTORS,
+            NETWORK_MAX_VECTORS + 1,
+            300,
+        ] {
+            let pairs: Vec<OnBase<'_>> = (0..n)
+                .map(|_| OnBase {
+                    base: &base,
+                    delta: Vector::from_fn(dim, |_| hostile_value(&mut rng)),
+                })
+                .collect();
+            let stored: Vec<Vector> = pairs.iter().map(|p| &base + &p.delta).collect();
+            let refs: Vec<&OnBase<'_>> = pairs.iter().collect();
+            for trim in [0, n / 4, (n - 1) / 2] {
+                let reference = bits(&trimmed_mean_reference(&stored, trim));
+                let public = trimmed_mean_vector(&pairs, trim).unwrap();
+                assert_eq!(bits(public.as_slice()), reference, "n {n}, trim {trim}");
+                if n <= NETWORK_MAX_VECTORS {
+                    for level in kernels::isa_levels() {
+                        let mut out = vec![f64::NAN; dim];
+                        kernels::trimmed_mean_network_at(level, &mut out, &refs, trim);
+                        assert_eq!(bits(&out), reference, "n {n}, trim {trim}, level {level}");
+                    }
+                }
+            }
+            let median = median_vector(&pairs).unwrap();
+            let want = median_vector(&stored).unwrap();
+            assert_eq!(
+                bits(median.as_slice()),
+                bits(want.as_slice()),
+                "median n {n}"
+            );
         }
     }
 

@@ -51,7 +51,7 @@ impl UpdateFilter for NormClipFilter {
         let mut outcome = FilterOutcome::default();
         for u in updates {
             let norm = u.delta.norm();
-            let keep = u.params.is_finite() && threshold.is_none_or(|t| norm <= t);
+            let keep = u.params_is_finite() && threshold.is_none_or(|t| norm <= t);
             self.observed_norms.push(norm);
             if self.observed_norms.len() > 4096 {
                 self.observed_norms.remove(0);

@@ -144,18 +144,18 @@ fn different_seeds_actually_differ() {
 /// A buffer with clearly separated benign/outlier geometry and distinct
 /// score values (so 3-means has no ties for the shuffle to exploit).
 fn batch() -> Vec<ClientUpdate> {
-    let base = Vector::zeros(3);
+    let base = std::sync::Arc::new(Vector::zeros(3));
     let mut updates: Vec<ClientUpdate> = (0..9)
         .map(|c| {
             let delta = Vector::from(vec![1.0 + 0.03 * c as f64, 0.5 - 0.01 * c as f64, 0.2]);
-            ClientUpdate::from_delta(c, 0, 0, &base, delta, 10)
+            ClientUpdate::with_base(c, 0, 0, std::sync::Arc::clone(&base), delta, 10)
         })
         .collect();
-    updates.push(ClientUpdate::from_delta(
+    updates.push(ClientUpdate::with_base(
         9,
         0,
         0,
-        &base,
+        base,
         Vector::from(vec![80.0, -40.0, 60.0]),
         10,
     ));

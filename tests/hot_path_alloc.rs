@@ -1,6 +1,7 @@
 //! Allocation bounds on the hot paths (DESIGN.md §9): a warm AsyncFilter
-//! pass, a FedBuff mean aggregate, one local training call, kickoff
-//! spawning, and a whole small run per received update.
+//! pass, ingest short of an aggregation, a FedBuff mean aggregate, one
+//! local training call, kickoff spawning, and a whole small run per
+//! received update.
 //!
 //! Allocation is deterministic at a fixed workload, so each bound is about
 //! twice what was measured, with the measured value next to it. A copy or
@@ -31,12 +32,12 @@ const WIDE_VECTOR_BYTES: u64 = (WIDE_DIM * std::mem::size_of::<f64>()) as u64;
 /// The CIFAR profile's model: a 48→32→10 MLP.
 const CIFAR_PARAMS: usize = 1_898;
 
-/// About twice the 5 960–6 016 bytes a warm pass allocates at dim 131 072
+/// About twice the 5 736–5 744 bytes a warm pass allocates at dim 131 072
 /// and Ω = 32. The three fresh-group passes before it allocate about
 /// 2.1 MB each; a warm pass must stay below one dimension-sized vector.
 const WIDE_PASS_BYTES_BOUND: u64 = 12_000;
 const _: () = assert!(WIDE_PASS_BYTES_BOUND < WIDE_VECTOR_BYTES);
-/// About twice the 7 456–7 536 bytes a warm pass allocates at dim 1 898
+/// About twice the 7 152–7 168 bytes a warm pass allocates at dim 1 898
 /// and the paper's Ω = 40.
 const PAPER_PASS_BYTES_BOUND: u64 = 15_000;
 /// About twice the 15 allocations a warm pass makes at either shape, so
@@ -47,6 +48,12 @@ const WARM_PASS_ALLOCS_BOUND: u64 = 30;
 /// in, and the weights. A separate mean vector (2 097 408 in all) fails
 /// it; copying every delta would allocate 35 652 608.
 const AGGREGATE_BYTES_BOUND: u64 = 1_600_000;
+/// About twice the 5 952 bytes that 31 non-aggregating `from_delta` +
+/// `receive` calls allocate in all at dim 131 072: the buffer's growth
+/// (576 + 768 + 1 536 + 3 072), no model-sized vector. Building ω per
+/// update allocated 1 MiB per call.
+const INGEST_BYTES_BOUND: u64 = 12_000;
+const _: () = assert!(INGEST_BYTES_BOUND < WIDE_VECTOR_BYTES);
 /// About twice the 104 944 bytes one CIFAR-profile `train` call allocates
 /// (256 samples, 5 epochs, batch 64).
 const TRAIN_BYTES_BOUND: u64 = 210_000;
@@ -57,7 +64,7 @@ const TRAIN_BYTES_BOUND: u64 = 210_000;
 const SPAWN_BYTES_PER_CLIENT_BOUND: u64 = 128;
 /// Clients spawned by the kickoff measurement.
 const KICKOFF_CLIENTS: usize = 1_000;
-/// About twice the 168 025 bytes a small AsyncFilter run allocates per
+/// About twice the 160 469 bytes a small AsyncFilter run allocates per
 /// received update. One 1 024-sample shard synthesis is about 295 kB, so
 /// a second one per dispatch fails it.
 const RUN_BYTES_PER_UPDATE_BOUND: u64 = 336_000;
@@ -118,10 +125,10 @@ fn filter_pass_costs(dim: usize, omega: usize, passes: usize) -> Vec<PassCost> {
         Box::new(MeanAggregator::new()),
     );
     let mut rng = StdRng::seed_from_u64(0xA5F1);
-    let base = Vector::zeros(dim);
     let mut fed = 0;
     while server.round() < passes as u64 {
         let base_round = server.round().saturating_sub(fed as u64 % 3);
+        let base = server.global_at(base_round).unwrap().clone();
         let delta = Vector::from_fn(dim, |_| rng.random_range(-0.5..0.5));
         server.receive(ClientUpdate::from_delta(
             fed % 64,
@@ -179,6 +186,34 @@ fn hot_paths_stay_within_their_allocation_bounds() {
     assert_warm_passes(&wide, "dim 131 072, Ω = 32", WIDE_PASS_BYTES_BOUND);
     let paper = filter_pass_costs(CIFAR_PARAMS, 40, 5);
     assert_warm_passes(&paper, "dim 1 898, Ω = 40", PAPER_PASS_BYTES_BOUND);
+
+    // Ingest short of an aggregation: `from_delta` plus `receive` of a
+    // wide delta builds no ω, so what it allocates is the buffer's growth
+    // alone, far below one model-sized vector.
+    let mut server = BufferedServer::new(
+        Vector::zeros(WIDE_DIM),
+        32,
+        20,
+        Box::new(AsyncFilter::default()),
+        Box::new(MeanAggregator::new()),
+    );
+    let mut rng = StdRng::seed_from_u64(0x1A6);
+    let mut ingest = Vec::new();
+    for i in 0..31 {
+        let delta = Vector::from_fn(WIDE_DIM, |_| rng.random_range(-0.5..0.5));
+        let base = server.global_arc();
+        let (report, bytes) =
+            measure(|| server.receive(ClientUpdate::from_delta(i, 0, 0, &base, delta, 10)));
+        assert!(report.is_none());
+        ingest.push(bytes);
+    }
+    let total: u64 = ingest.iter().sum();
+    assert!(
+        total <= INGEST_BYTES_BOUND,
+        "31 non-aggregating from_delta + receive calls at dim {WIDE_DIM} allocated {total} \
+         bytes (bound {INGEST_BYTES_BOUND}): {ingest:?}"
+    );
+    drop(server);
 
     // One FedBuff mean aggregate over 32 wide deltas.
     let mut rng = StdRng::seed_from_u64(0xA66);
