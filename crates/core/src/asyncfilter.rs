@@ -30,7 +30,7 @@
 use crate::update::{ClientUpdate, FilterContext, FilterOutcome, UpdateFilter};
 use asyncfl_clustering::one_dim::kmeans_1d;
 use asyncfl_telemetry::Span;
-use asyncfl_tensor::kernels::{lerp_chain_norm_squared, sum_dots, sum_seq, AsSummed};
+use asyncfl_tensor::kernels::{lerp_chain_norm_squared, sum_dots_norms, sum_seq, AsSummed};
 use asyncfl_tensor::Vector;
 use std::collections::BTreeMap;
 
@@ -192,44 +192,56 @@ impl Default for AsyncFilterConfig {
     }
 }
 
-/// The sanitize predicate: a finite cached `‖ω‖²`. That implies finite
-/// coordinates, and it also excludes finite coordinates whose squares
-/// overflow, for which the eq. 6 identity evaluates `inf − inf` and the
-/// distance clamp would report `0.0`, the most benign score. `O(1)` per
-/// update. `BufferedServer` already discards such reports at receipt; the
-/// partition keeps the contract for callers that drive the filter
-/// directly.
+/// The sanitize predicate: a finite `‖ω‖²`, read `O(1)` per update from
+/// [`ClientUpdate::params_norm_bound`] (finite exactly when `‖ω‖²` is;
+/// the pass computes the norm itself). That implies finite coordinates,
+/// and it also excludes finite coordinates whose squares overflow, for
+/// which the eq. 6 identity evaluates `inf − inf` and the distance clamp
+/// would report `0.0`, the most benign score. `BufferedServer` already
+/// discards such reports at receipt; the partition keeps the contract for
+/// callers that drive the filter directly.
 fn scorable(u: &ClientUpdate) -> bool {
-    u.params_norm_squared().is_finite()
+    u.params_norm_bound().is_finite()
 }
 
-/// Eq. 6 for every update of `members` against one estimate, into
-/// `out` in member order: the cached-norm identity
+/// Eq. 6 against one estimate for every update `updates[i]` with
+/// `member(i)`, into `out` in member order: the cached-norm identity
 /// `‖ω‖² + ‖MA‖² − 2·ω·MA`, or NaN where `‖ω‖² + ‖MA‖²` overflows. There
 /// the identity computes `inf − inf` or `inf`, and the distance clamp
 /// would turn the former into 0.0, the most benign distance.
 ///
-/// The dots are one blocked [`sum_dots`] sweep: each block of the
-/// estimate, and of a base the members share (every member of a staleness
-/// group in a pass shares one), is read once for all of them, and each
-/// ω is formed from its base and δ as it is read. Each value is
-/// bit-identical to `ω.distance_squared_from_norms(‖ω‖², MA, ‖MA‖²)` on
-/// the stored ω.
-fn eq6_into<'a>(
-    members: impl Iterator<Item = &'a ClientUpdate> + Clone,
+/// The dots and each member's `‖ω‖²` come from one blocked
+/// [`sum_dots_norms`] sweep: each block of the estimate, and of a base the
+/// members share (every member of a staleness group in a pass shares
+/// one), is read once for all of them, and each ω is formed from its base
+/// and δ as it is read. The norm is written back into its update,
+/// replacing receipt's admission bound. Each value is bit-identical to
+/// `ω.distance_squared_from_norms(‖ω‖², MA, ‖MA‖²)` on the stored ω.
+fn eq6_into(
+    updates: &mut [ClientUpdate],
+    member: impl Fn(usize) -> bool + Copy,
     est: &Vector,
     est_norm_sq: f64,
     out: &mut Vec<f64>,
+    norms: &mut Vec<f64>,
 ) {
+    let members = updates
+        .iter()
+        .enumerate()
+        .filter(move |&(i, _)| member(i))
+        .map(|(_, u)| u.as_summed());
+    let count = members.clone().count();
     out.clear();
-    out.resize(members.clone().count(), 0.0);
-    sum_dots(
-        est.as_slice(),
-        members.clone().map(AsSummed::as_summed),
-        out,
-    );
-    for (d, u) in out.iter_mut().zip(members) {
-        let norm_sq = u.params_norm_squared();
+    out.resize(count, 0.0);
+    norms.clear();
+    norms.resize(count, 0.0);
+    sum_dots_norms(est.as_slice(), members, out, norms);
+    let members = updates
+        .iter_mut()
+        .enumerate()
+        .filter(move |&(i, _)| member(i));
+    for ((d, &norm_sq), (_, u)) in out.iter_mut().zip(norms.iter()).zip(members) {
+        u.set_params_norm_squared(norm_sq);
         *d = if (norm_sq + est_norm_sq).is_finite() {
             (norm_sq + est_norm_sq - 2.0 * *d).max(0.0)
         } else {
@@ -297,6 +309,8 @@ struct Scratch {
     absorbs: Vec<usize>,
     /// One group's eq. 6 distances, in member order.
     dots: Vec<f64>,
+    /// The same members' `‖ω‖²`, from the same sweep.
+    norms: Vec<f64>,
 }
 
 /// The AsyncFilter server module.
@@ -484,12 +498,17 @@ impl AsyncFilter {
     /// its distances to the estimates did, alone or summed into its own
     /// eq. 7 denominator. Shared denominators (`Global`, `WithinGroup`)
     /// cannot be charged to one update; [`root_sum_sq`] rescales them.
-    fn measure(&self, finite: &[ClientUpdate], scr: &mut Scratch, ctx: &FilterContext<'_>) -> u64 {
+    fn measure(
+        &self,
+        finite: &mut [ClientUpdate],
+        scr: &mut Scratch,
+        ctx: &FilterContext<'_>,
+    ) -> u64 {
         let n = finite.len();
         // Eq. 4: per-update staleness-bucket keys plus the sorted unique
         // key list, in reused buffers rather than a per-pass map.
         scr.keys.clear();
-        for u in finite {
+        for u in finite.iter() {
             let key = self.group_key(u.staleness);
             scr.keys.push(key);
         }
@@ -531,8 +550,15 @@ impl AsyncFilter {
         for (gi, &key) in scr.uniq.iter().enumerate() {
             let (own, own_norm_sq) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
             let keys = &scr.keys;
-            let members = finite.iter().zip(keys).filter(move |&(_, &k)| k == key);
-            eq6_into(members.map(|(u, _)| u), own, own_norm_sq, &mut scr.dots);
+            let own_group = |i| keys.get(i) == Some(&key);
+            eq6_into(
+                finite,
+                own_group,
+                own,
+                own_norm_sq,
+                &mut scr.dots,
+                &mut scr.norms,
+            );
             let mut dots = scr.dots.iter();
             for (d, _) in scr.dist_sq.iter_mut().zip(keys).filter(|&(_, &k)| k == key) {
                 *d = dots.next().copied().unwrap_or(f64::NAN);
@@ -551,8 +577,15 @@ impl AsyncFilter {
         for (gi, &key) in scr.uniq.iter().enumerate() {
             let (ma, ma_norm_sq) = ests[gi]; // lint:allow(P2) -- aligned with uniq
             let keys = &scr.keys;
-            let others = finite.iter().zip(keys).filter(move |&(_, &k)| k != key);
-            eq6_into(others.map(|(u, _)| u), ma, ma_norm_sq, &mut scr.dots);
+            let others = |i| keys.get(i).is_some_and(|&k| k != key);
+            eq6_into(
+                finite,
+                others,
+                ma,
+                ma_norm_sq,
+                &mut scr.dots,
+                &mut scr.norms,
+            );
             let mut dots = scr.dots.iter();
             let row = scr.cross.chunks_exact_mut(n).nth(gi).unwrap_or_default();
             for ((c, &k), &own) in row.iter_mut().zip(keys).zip(&scr.dist_sq) {
@@ -635,7 +668,7 @@ impl UpdateFilter for AsyncFilter {
                 self.emit_counters(ctx);
                 return outcome;
             }
-            self.distances_computed += self.measure(&finite, &mut scr, ctx);
+            self.distances_computed += self.measure(&mut finite, &mut scr, ctx);
             if scr.dist_sq.iter().all(|d| d.is_finite()) {
                 break;
             }
@@ -1422,7 +1455,9 @@ mod tests {
     /// deltas score, partition and absorb bit for bit as passes over the
     /// same ω stored whole (`new`): every normalization, exact and pooled
     /// staleness buckets (a pooled group mixes bases), both moving
-    /// averages, through bootstrap and warm passes.
+    /// averages, through bootstrap and warm passes. Every other update is
+    /// admitted on its receipt bound, with no `‖ω‖²`; the pass leaves each
+    /// update holding the stored ω's `‖ω‖²` bit for bit.
     #[test]
     fn shared_base_passes_are_bit_identical_to_stored_params() {
         use std::sync::Arc;
@@ -1472,7 +1507,13 @@ mod tests {
                     let staleness = (i % 3) as u64;
                     let base = &bases[(round + i) % 3];
                     let d = Vector::from_fn(dim, |k| delta(k, i, round));
-                    let resolved = ClientUpdate::with_base(i, 0, staleness, Arc::clone(base), d, 1);
+                    let resolved = if i.is_multiple_of(2) {
+                        ClientUpdate::with_base(i, 0, staleness, Arc::clone(base), d, 1)
+                    } else {
+                        let mut u = ClientUpdate::from_delta(i, 0, staleness, base, d, 1);
+                        u.resolve(Arc::clone(base), base.norm_squared());
+                        u
+                    };
                     let whole = resolved.params().expect("resolved");
                     (resolved, ClientUpdate::new(i, 0, staleness, whole, 1))
                 };
@@ -1484,6 +1525,14 @@ mod tests {
                 assert_eq!(ids(&oa.accepted), ids(&ob.accepted), "{at}");
                 assert_eq!(ids(&oa.rejected), ids(&ob.rejected), "{at}");
                 assert_eq!(ids(&oa.deferred), ids(&ob.deferred), "{at}");
+                let norms = |o: &FilterOutcome| {
+                    [&o.accepted, &o.rejected, &o.deferred]
+                        .into_iter()
+                        .flatten()
+                        .map(|u| u.params_norm_bound().to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(norms(&oa), norms(&ob), "{at}");
                 let scores = |f: &AsyncFilter| {
                     f.last_scores()
                         .iter()

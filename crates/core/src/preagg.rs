@@ -178,10 +178,7 @@ impl Aggregator for NnmAggregator {
                     // lint:allow(P2) -- dists pairs carry indices below updates.len()
                     delta.axpy(1.0 / k as f64, &updates[j].delta);
                 }
-                let mut mixed = u.clone();
-                mixed.delta = delta;
-                mixed.refresh_cached_norms();
-                mixed
+                u.with_delta(delta)
             })
             .collect();
         self.inner.aggregate(&mixed, global)
@@ -278,6 +275,129 @@ mod tests {
         let mut agg = NnmAggregator::new(3, Box::new(KrumAggregator::new(2)));
         let out = agg.aggregate(&updates, &g);
         assert!(out[0] < 2.0 && out[1] < 2.0, "{out:?}");
+    }
+
+    /// The mixing step as it was written before `with_delta`: each update
+    /// cloned whole, its delta overwritten, its norms refreshed.
+    fn nnm_mixed_by_clone(updates: &[ClientUpdate], k: usize) -> Vec<ClientUpdate> {
+        updates
+            .iter()
+            .map(|u| {
+                let mut dists: Vec<(f64, usize)> = updates
+                    .iter()
+                    .enumerate()
+                    .map(|(j, v)| {
+                        let d = u.delta.distance_squared_from_norms(
+                            u.delta_norm_squared(),
+                            &v.delta,
+                            v.delta_norm_squared(),
+                        );
+                        (d, j)
+                    })
+                    .collect();
+                dists.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let mut delta = Vector::zeros(u.delta.len());
+                for &(_, j) in dists.iter().take(k) {
+                    delta.axpy(1.0 / k as f64, &updates[j].delta);
+                }
+                let mut mixed = u.clone();
+                mixed.delta = delta;
+                mixed.refresh_cached_norms();
+                mixed
+            })
+            .collect()
+    }
+
+    /// Records the updates it is handed and returns their mean.
+    struct Recording(std::sync::Arc<std::sync::Mutex<Vec<ClientUpdate>>>);
+
+    impl Aggregator for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn aggregate(&mut self, updates: &[ClientUpdate], global: &Vector) -> Vector {
+            *self.0.lock().unwrap() = updates.to_vec();
+            MeanAggregator::new().aggregate(updates, global)
+        }
+    }
+
+    /// NNM's mixed updates and outputs, bit for bit, against the
+    /// clone-and-overwrite version, over updates with every source of ω
+    /// (none, unresolved, a shared base) and `-0.0`, subnormal and
+    /// colliding coordinates.
+    #[test]
+    fn nnm_matches_the_clone_and_overwrite_version_bit_for_bit() {
+        use std::sync::{Arc, Mutex};
+        let base = Vector::from(vec![0.5, -1.0, 2.0]);
+        let shared = Arc::new(base.clone());
+        let coords = |i: usize| -> Vec<f64> {
+            vec![
+                [-0.0, 1e-310, 0.3][i % 3] * i as f64,
+                (i as f64 * 0.7).sin(),
+                if i.is_multiple_of(4) {
+                    5.0
+                } else {
+                    -(i as f64) * 0.01
+                },
+            ]
+        };
+        let updates: Vec<ClientUpdate> = (0..9)
+            .map(|i| {
+                let delta = Vector::from(coords(i));
+                let u = match i % 3 {
+                    0 => ClientUpdate::new(i, 0, 1, delta, 10 + i),
+                    1 => ClientUpdate::from_delta(i, 0, 1, &base, delta, 10 + i),
+                    _ => ClientUpdate::with_base(i, 0, 1, Arc::clone(&shared), delta, 10 + i),
+                };
+                u.with_truth_malicious(i % 4 == 1)
+            })
+            .collect();
+        for k in [1, 3, 9] {
+            let want = nnm_mixed_by_clone(&updates, k);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut agg = NnmAggregator::new(k, Box::new(Recording(Arc::clone(&seen))));
+            let out = agg.aggregate(&updates, &Vector::zeros(3));
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), want.len());
+            for (got, want) in seen.iter().zip(&want) {
+                let bits = |u: &ClientUpdate| {
+                    let delta: Vec<u64> = u.delta.iter().map(|x| x.to_bits()).collect();
+                    (
+                        delta,
+                        u.params_norm_squared().to_bits(),
+                        u.delta_norm_squared().to_bits(),
+                    )
+                };
+                assert_eq!(bits(got), bits(want), "k = {k}, client {}", want.client);
+                assert_eq!(
+                    (got.client, got.base_round, got.staleness, got.num_samples),
+                    (
+                        want.client,
+                        want.base_round,
+                        want.staleness,
+                        want.num_samples
+                    )
+                );
+                assert_eq!(
+                    (got.truth_malicious, got.defers),
+                    (want.truth_malicious, want.defers)
+                );
+                assert_eq!(got.base().map(Arc::as_ptr), want.base().map(Arc::as_ptr));
+            }
+            let mean = MeanAggregator::new().aggregate(&want, &Vector::zeros(3));
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&mean), "k = {k}");
+            let inners: [fn() -> Box<dyn Aggregator>; 2] = [
+                || Box::new(MedianAggregator),
+                || Box::new(KrumAggregator::new(2)),
+            ];
+            for inner in inners {
+                let reference = inner().aggregate(&want, &Vector::zeros(3));
+                let got = NnmAggregator::new(k, inner()).aggregate(&updates, &Vector::zeros(3));
+                assert_eq!(bits(&got), bits(&reference), "{}, k = {k}", inner().name());
+            }
+        }
     }
 
     #[test]

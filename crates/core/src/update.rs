@@ -27,6 +27,22 @@ enum Base {
     Model(Arc<Vector>),
 }
 
+/// Receipt's admission bound on `‖ω‖²` from `‖b‖²` and `‖δ‖²`, when it
+/// proves `‖ω‖²` finite: `(‖b‖ + ‖δ‖)²` below `f64::MAX / 4`.
+///
+/// `‖b + δ‖ ≤ ‖b‖ + ‖δ‖`. The computed `‖ω‖²` exceeds that real bound only
+/// by rounding: each `b[i] + δ[i]` and square by a factor `1 + 2⁻⁵³`, the
+/// sum of squares (in any order) by `1 + n·2⁻⁵³`, and the two norms and
+/// this sum read low by as much. Together that is far below 4 for any
+/// dimension below 2⁵⁰, so below the margin nothing in `‖ω‖²`'s sum of
+/// nonnegative terms can overflow. `None` (NaN or infinite inputs
+/// included) decides nothing: the caller computes `‖ω‖²`.
+fn admission_bound(base_norm_sq: f64, delta_norm_sq: f64) -> Option<f64> {
+    let root = base_norm_sq.sqrt() + delta_norm_sq.sqrt();
+    let bound = root * root;
+    (bound < f64::MAX / 4.0).then_some(bound)
+}
+
 /// One buffered client report, as the server sees it.
 ///
 /// A FedBuff client sends its delta δ and the round it trained from. The
@@ -42,8 +58,14 @@ enum Base {
 /// with [`resolve`]. Until then the update is unscorable: its cached
 /// `‖ω‖²` is NaN, which every filter's sanitize step rejects.
 ///
+/// [`resolve`] need not read ω: when `‖ω‖ ≤ ‖ω_base‖ + ‖δ‖` already
+/// proves `‖ω‖²` finite, the update carries that bound
+/// ([`params_norm_bound`]) and AsyncFilter's eq. 6 sweep computes the
+/// value while it reads ω anyway.
+///
 /// [`from_delta`]: ClientUpdate::from_delta
 /// [`resolve`]: ClientUpdate::resolve
+/// [`params_norm_bound`]: ClientUpdate::params_norm_bound
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientUpdate {
     /// Client identifier.
@@ -66,12 +88,17 @@ pub struct ClientUpdate {
     pub defers: u32,
     /// Where ω comes from.
     base: Base,
-    /// Cached `‖ω‖²`, kept consistent by the constructors,
-    /// [`ClientUpdate::resolve`] and
-    /// [`ClientUpdate::refresh_cached_norms`]; NaN while unresolved.
-    /// Private so in-place edits to `delta` can't silently desynchronize
-    /// it.
+    /// `‖ω‖²` (NaN while unresolved) when `params_norm_exact`; otherwise
+    /// the finite bound receipt admitted the update on
+    /// ([`ClientUpdate::resolve`]), until the filter pass computes the
+    /// value. Kept consistent by the constructors, `resolve` and
+    /// [`ClientUpdate::refresh_cached_norms`]. Private so in-place edits
+    /// to `delta` can't silently desynchronize it.
     params_norm_sq: f64,
+    /// Whether `params_norm_sq` is `‖ω‖²` itself rather than a bound on
+    /// it. A flag beside the other small fields rather than an enum around
+    /// the value, so the update is no larger.
+    params_norm_exact: bool,
     /// Cached `‖delta‖²` under the same contract.
     delta_norm_sq: f64,
 }
@@ -106,6 +133,7 @@ impl ClientUpdate {
             defers: 0,
             base,
             params_norm_sq: f64::NAN,
+            params_norm_exact: true,
             delta_norm_sq,
         };
         update.params_norm_sq = update.omega_norm_squared();
@@ -204,21 +232,35 @@ impl ClientUpdate {
         self
     }
 
-    /// Attaches `base` as ω_base, replacing whatever the update carried,
-    /// and caches `‖ω‖²` in one read-only pass over the base and δ. The
-    /// server calls this with its own record of `base_round`.
+    /// Attaches `base` as ω_base, replacing whatever the update carried.
+    /// The server calls this with its own record of `base_round` and that
+    /// record's `base_norm_sq = ‖base‖²`.
+    ///
+    /// When `(‖base‖ + ‖δ‖)²` is below `f64::MAX / 4`, `‖ω‖²` is finite
+    /// and the update keeps that bound without reading ω: the common case,
+    /// which costs O(1). Otherwise `‖ω‖²` is computed and cached in one
+    /// read-only pass over the base and δ. Either way
+    /// [`params_norm_bound`](Self::params_norm_bound) is finite exactly
+    /// when `‖ω‖²` is.
     ///
     /// # Panics
     ///
     /// Panics if `base` and `delta` dimensions differ.
-    pub fn resolve(&mut self, base: Arc<Vector>) {
+    pub fn resolve(&mut self, base: Arc<Vector>, base_norm_sq: f64) {
         assert_eq!(
             base.len(),
             self.delta.len(),
             "resolve: base and delta dimensions differ"
         );
+        debug_assert_eq!(
+            base.norm_squared().to_bits(),
+            base_norm_sq.to_bits(),
+            "resolve: base_norm_sq is not the base's ‖b‖²"
+        );
         self.base = Base::Model(base);
-        self.params_norm_sq = self.omega_norm_squared();
+        let bound = admission_bound(base_norm_sq, self.delta_norm_sq);
+        self.params_norm_exact = bound.is_none();
+        self.params_norm_sq = bound.unwrap_or_else(|| self.omega_norm_squared());
     }
 
     /// `false` only for an update built by [`ClientUpdate::from_delta`]
@@ -270,12 +312,47 @@ impl ClientUpdate {
         }
     }
 
-    /// Cached squared ℓ2 norm of ω (`‖ωᵢ‖²`), NaN while unresolved. With
+    /// Squared ℓ2 norm of ω (`‖ωᵢ‖²`), NaN while unresolved. With
     /// per-estimate norms this turns every `d(MA, ω)` in AsyncFilter's
     /// eq. 6/7 scoring into a single dot product via
     /// `‖MA − ω‖² = ‖MA‖² + ‖ω‖² − 2·MA·ω`.
+    ///
+    /// The cached value, except for an update receipt admitted on its
+    /// bound and no filter pass has scored yet: that one computes it
+    /// afresh, in one read of the base and δ, without caching it. Never
+    /// the bound.
     pub fn params_norm_squared(&self) -> f64 {
+        if self.params_norm_exact {
+            self.params_norm_sq
+        } else {
+            self.omega_norm_squared()
+        }
+    }
+
+    /// An upper bound on `‖ω‖²`, known without reading ω: `‖ω‖²` itself
+    /// once computed, receipt's admission bound
+    /// ([`resolve`](Self::resolve)) before. Finite exactly when `‖ω‖²`
+    /// is, and NaN while unresolved, so it is the `O(1)` test of whether
+    /// an update can be scored. Not a norm: a reader that needs `‖ω‖²`
+    /// calls [`params_norm_squared`](Self::params_norm_squared).
+    pub fn params_norm_bound(&self) -> f64 {
         self.params_norm_sq
+    }
+
+    /// Caches `‖ω‖²` as a kernel that read ω computed it (AsyncFilter's
+    /// eq. 6 sweep), replacing an admission bound. Debug builds check that
+    /// an update that already holds the value (a deferred one, or one
+    /// built by `new` or `with_base`) gets the same bits.
+    pub(crate) fn set_params_norm_squared(&mut self, norm_sq: f64) {
+        debug_assert!(self.is_resolved(), "set_params_norm_squared: unresolved");
+        debug_assert!(
+            !self.params_norm_exact || self.params_norm_sq.to_bits() == norm_sq.to_bits(),
+            "client {}: ‖ω‖² {norm_sq:e} differs from the cached {:e}",
+            self.client,
+            self.params_norm_sq
+        );
+        self.params_norm_sq = norm_sq;
+        self.params_norm_exact = true;
     }
 
     /// Cached squared ℓ2 norm of `delta` (`‖δᵢ‖²`), computed once at
@@ -291,6 +368,25 @@ impl ClientUpdate {
     pub fn refresh_cached_norms(&mut self) {
         self.delta_norm_sq = self.delta.norm_squared();
         self.params_norm_sq = self.omega_norm_squared();
+        self.params_norm_exact = true;
+    }
+
+    /// This update's metadata and ω_base with `delta` in place of its own,
+    /// both norms computed for the new delta: what a clone followed by a
+    /// delta swap and [`refresh_cached_norms`](Self::refresh_cached_norms)
+    /// gives, without copying the old delta.
+    pub fn with_delta(&self, delta: Vector) -> Self {
+        let mut update = Self::with_source(
+            self.client,
+            self.base_round,
+            self.staleness,
+            delta,
+            self.num_samples,
+            self.base.clone(),
+        );
+        update.truth_malicious = self.truth_malicious;
+        update.defers = self.defers;
+        update
     }
 
     /// `‖ω‖²` computed afresh from the base and δ.
@@ -553,7 +649,7 @@ mod tests {
             cfg!(debug_assertions).then(|| model_fingerprint(&base))
         );
 
-        u.resolve(Arc::new(base.clone()));
+        u.resolve(Arc::new(base.clone()), base.norm_squared());
         let stored = &base + &delta;
         assert!(u.is_resolved());
         assert_eq!(u.base_fingerprint(), None);
@@ -568,6 +664,66 @@ mod tests {
         );
         assert!(u.params_is_finite());
         assert_eq!(u.delta, delta);
+    }
+
+    /// A report whose `(‖b‖ + ‖δ‖)²` is small is admitted on that bound:
+    /// the bound is what `params_norm_bound` reads, `params_norm_squared`
+    /// still gives the exact norm, and caching the norm replaces the
+    /// bound.
+    #[test]
+    fn resolve_admits_on_the_bound_without_reading_omega() {
+        let base = Vector::from(vec![3.0, 0.0]);
+        let delta = Vector::from(vec![-2.0, 4.0]);
+        let mut u = ClientUpdate::from_delta(0, 0, 0, &base, delta.clone(), 1);
+        u.resolve(Arc::new(base.clone()), base.norm_squared());
+        let exact = (&base + &delta).norm_squared();
+        assert_eq!(exact, 17.0);
+        assert_eq!(u.params_norm_bound(), (3.0_f64 + 20.0_f64.sqrt()).powi(2));
+        assert!(u.params_norm_bound() > exact);
+        assert_eq!(u.params_norm_squared().to_bits(), exact.to_bits());
+        u.set_params_norm_squared(exact);
+        assert_eq!(u.params_norm_bound(), exact);
+        assert_eq!(u.params_norm_squared(), exact);
+    }
+
+    /// `with_delta` is a clone with its delta swapped and its norms
+    /// refreshed, on every source of ω, sharing the base.
+    #[test]
+    fn with_delta_matches_a_clone_with_its_delta_swapped() {
+        let base = Vector::from(vec![1.0, -2.0, 0.5]);
+        let delta = Vector::from(vec![0.25, 0.5, -1.0]);
+        let next = Vector::from(vec![-0.0, 7.0, 1e-310]);
+        let mut bounded = ClientUpdate::from_delta(3, 1, 2, &base, delta.clone(), 9);
+        bounded.resolve(Arc::new(base.clone()), base.norm_squared());
+        let updates = [
+            ClientUpdate::new(0, 1, 2, delta.clone(), 9),
+            ClientUpdate::from_delta(1, 1, 2, &base, delta.clone(), 9),
+            ClientUpdate::with_base(2, 1, 2, Arc::new(base.clone()), delta.clone(), 9),
+            bounded,
+        ];
+        for u in updates {
+            let mut u = u.with_truth_malicious(true);
+            u.defers = 1;
+            let mut want = u.clone();
+            want.delta = next.clone();
+            want.refresh_cached_norms();
+            let got = u.with_delta(next.clone());
+            assert_eq!(
+                got.params_norm_squared().to_bits(),
+                want.params_norm_squared().to_bits()
+            );
+            assert_eq!(
+                got.params_norm_bound().to_bits(),
+                want.params_norm_bound().to_bits()
+            );
+            assert_eq!(got.delta_norm_squared(), want.delta_norm_squared());
+            assert_eq!(got.base().map(Arc::as_ptr), u.base().map(Arc::as_ptr));
+            if got.params_norm_squared().is_nan() {
+                assert!(!got.is_resolved() && !want.is_resolved());
+                continue;
+            }
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! (DESIGN.md §13).
 
 use asyncfl_core::aggregation::Aggregator;
-use asyncfl_core::update::{model_fingerprint, ClientUpdate, FilterContext, UpdateFilter};
+use asyncfl_core::update::{
+    model_fingerprint, ClientUpdate, FilterContext, FilterOutcome, UpdateFilter,
+};
 use asyncfl_telemetry::{Event, MalformedReason, SharedSink, Span, Verdict};
 use asyncfl_tensor::Vector;
 use std::collections::{BTreeMap, VecDeque};
@@ -36,13 +38,33 @@ pub struct AggregationReport {
     pub deferred: usize,
 }
 
+/// The server's record of one round's global model.
+struct RoundRecord {
+    model: Arc<Vector>,
+    /// The model's [`model_fingerprint`], in debug builds.
+    fingerprint: Option<u64>,
+    /// `‖model‖²`, computed by the first receipt that resolves a report
+    /// against this round: receipt's admission bound needs it, and a
+    /// round no report names costs no read of its model.
+    norm_sq: Option<f64>,
+}
+
+impl RoundRecord {
+    fn new(model: &Arc<Vector>) -> Self {
+        Self {
+            model: Arc::clone(model),
+            fingerprint: cfg!(debug_assertions).then(|| model_fingerprint(model)),
+            norm_sq: None,
+        }
+    }
+}
+
 /// A FedBuff-style buffered server with a pluggable defense filter.
 pub struct BufferedServer {
     global: Arc<Vector>,
-    /// The global models of rounds `round + 1 − rounds.len() ..= round`,
-    /// oldest first, each with its [`model_fingerprint`] in debug builds:
-    /// at most `staleness_limit + 1` of them.
-    rounds: VecDeque<(Arc<Vector>, Option<u64>)>,
+    /// The records of rounds `round + 1 − rounds.len() ..= round`, oldest
+    /// first: at most `staleness_limit + 1` of them.
+    rounds: VecDeque<RoundRecord>,
     round: u64,
     buffer: Vec<ClientUpdate>,
     aggregation_bound: usize,
@@ -74,7 +96,7 @@ impl BufferedServer {
         assert!(aggregation_bound > 0, "aggregation_bound must be positive");
         let global = Arc::new(global);
         Self {
-            rounds: VecDeque::from([Self::record(&global)]),
+            rounds: VecDeque::from([RoundRecord::new(&global)]),
             global,
             round: 0,
             buffer: Vec::new(),
@@ -129,21 +151,15 @@ impl BufferedServer {
     /// current round and the `staleness_limit` before it, the only rounds
     /// a report it admits can name.
     pub fn global_at(&self, round: u64) -> Option<&Arc<Vector>> {
-        self.record_of(round).map(|(model, _)| model)
+        let index = self.record_index(round)?;
+        self.rounds.get(index).map(|record| &record.model)
     }
 
-    /// The entry of `rounds` for `round`, if it is still recorded.
-    fn record_of(&self, round: u64) -> Option<&(Arc<Vector>, Option<u64>)> {
+    /// The index in `rounds` of `round`'s record, if it is still recorded.
+    fn record_index(&self, round: u64) -> Option<usize> {
         let back = self.round.checked_sub(round)?;
         let index = (self.rounds.len() as u64).checked_sub(back.checked_add(1)?)?;
-        self.rounds.get(usize::try_from(index).ok()?)
-    }
-
-    /// A round's entry in `rounds`: the model and, in debug builds, its
-    /// fingerprint.
-    fn record(model: &Arc<Vector>) -> (Arc<Vector>, Option<u64>) {
-        let fingerprint = cfg!(debug_assertions).then(|| model_fingerprint(model));
-        (Arc::clone(model), fingerprint)
+        usize::try_from(index).ok()
     }
 
     /// Current server round (completed aggregations).
@@ -211,8 +227,13 @@ impl BufferedServer {
     ///    discarded as stale, without resolving a base: its round is
     ///    beyond the server's record.
     /// 5. **`‖ω‖²`.** The report is resolved against the server's record
-    ///    of its base round, `ω = ω_base + δ`, and its `‖ω‖²` cached in
-    ///    one read-only pass; a non-finite `‖ω‖²` is discarded.
+    ///    of its base round, `ω = ω_base + δ`, and a non-finite `‖ω‖²` is
+    ///    discarded. `‖ω‖ ≤ ‖ω_base‖ + ‖δ‖`, so when `(‖ω_base‖ + ‖δ‖)²`
+    ///    is below `f64::MAX / 4` the report is admitted on that bound
+    ///    without reading ω ([`ClientUpdate::resolve`]); `‖ω_base‖²` is
+    ///    computed once per round. Otherwise `‖ω‖²` is computed in one
+    ///    read-only pass and decides. Either way the decision is the exact
+    ///    norm's.
     ///
     /// Steps 1–3 and 5 are malformed reports: each emits one
     /// `UpdateDiscardedMalformed` naming the step and no `UpdateReceived`.
@@ -235,7 +256,7 @@ impl BufferedServer {
         update.staleness = staleness;
         if staleness <= self.staleness_limit {
             self.resolve(&mut update);
-            if !update.params_norm_squared().is_finite() {
+            if !update.params_norm_bound().is_finite() {
                 return self.discard_malformed(&update, MalformedReason::NonFiniteNorm);
             }
         }
@@ -304,26 +325,32 @@ impl BufferedServer {
     }
 
     /// Attaches the server's record of `update.base_round` as its base
-    /// (receipt step 5). The caller has checked that the round is within
-    /// the record.
+    /// (receipt step 5), with the record's `‖ω_base‖²`. The caller has
+    /// checked that the round is within the record.
     #[expect(
         clippy::panic,
         reason = "receipt screens future and stale rounds first, so a miss is a server bug"
     )]
-    fn resolve(&self, update: &mut ClientUpdate) {
-        let Some((model, fingerprint)) = self.record_of(update.base_round) else {
+    fn resolve(&mut self, update: &mut ClientUpdate) {
+        let record = self
+            .record_index(update.base_round)
+            .and_then(|index| self.rounds.get_mut(index));
+        let Some(record) = record else {
             panic!(
                 "no record of round {} at round {}",
                 update.base_round, self.round
             );
         };
         debug_assert!(
-            update.base_fingerprint().is_none() || update.base_fingerprint() == *fingerprint,
+            update.base_fingerprint().is_none() || update.base_fingerprint() == record.fingerprint,
             "client {}: the base passed to from_delta is not the server's model of round {}",
             update.client,
             update.base_round
         );
-        update.resolve(Arc::clone(model));
+        let base_norm_sq = *record
+            .norm_sq
+            .get_or_insert_with(|| record.model.norm_squared());
+        update.resolve(Arc::clone(&record.model), base_norm_sq);
     }
 
     /// Runs filter + aggregation over the current buffer, advancing the
@@ -332,6 +359,7 @@ impl BufferedServer {
     pub fn aggregate_now(&mut self) -> AggregationReport {
         // Refresh staleness (deferred updates have aged) and screen again.
         let sink = self.sink.clone();
+        let capacity = self.buffer.capacity();
         let mut batch = std::mem::take(&mut self.buffer);
         batch.retain_mut(|u| {
             u.staleness = self.round.saturating_sub(u.base_round);
@@ -376,30 +404,40 @@ impl BufferedServer {
         };
         self.detection.absorb(outcome.confusion());
         self.emit_filter_scores(&outcome);
+        let FilterOutcome {
+            accepted,
+            rejected,
+            deferred,
+        } = outcome;
 
         let report = AggregationReport {
             round_completed: self.round,
-            accepted: outcome.accepted.len(),
-            rejected: outcome.rejected.len(),
-            deferred: outcome.deferred.len(),
+            accepted: accepted.len(),
+            rejected: rejected.len(),
+            deferred: deferred.len(),
         };
         self.global = Arc::new({
             let _span = Span::start(self.sink.as_ref().map(|s| s.as_dyn()), "aggregate");
-            self.aggregator.aggregate(&outcome.accepted, &self.global)
+            self.aggregator.aggregate(&accepted, &self.global)
         });
         self.round += 1;
-        self.rounds.push_back(Self::record(&self.global));
+        self.rounds.push_back(RoundRecord::new(&self.global));
         while self.rounds.len() as u64 > self.staleness_limit.saturating_add(1) {
             self.rounds.pop_front();
         }
         // Deferred updates contribute "at a later stage".
-        if !outcome.deferred.is_empty() {
+        if !deferred.is_empty() {
             self.emit(Event::CounterAdd {
                 name: "deferred_requeued",
-                delta: outcome.deferred.len() as u64,
+                delta: deferred.len() as u64,
             });
         }
-        self.buffer.extend(outcome.deferred);
+        // The buffer gets its capacity back, so the receipts before the
+        // next pass allocate nothing. It is reserved only once the pass's
+        // updates are freed, so one Ω-sized list is live at a time.
+        drop((accepted, rejected));
+        self.buffer.reserve_exact(capacity);
+        self.buffer.extend(deferred);
         self.emit(Event::GaugeSample {
             name: "deferred_queue_depth",
             value: self.buffer.len() as u64,
@@ -428,7 +466,7 @@ impl BufferedServer {
     /// update has aged at least one round past the fresh one. Records are
     /// still consumed front-to-back within a `(client, staleness)` key for
     /// the degenerate same-staleness case.
-    fn emit_filter_scores(&self, outcome: &asyncfl_core::update::FilterOutcome) {
+    fn emit_filter_scores(&self, outcome: &FilterOutcome) {
         let Some(sink) = &self.sink else {
             return;
         };
@@ -1237,6 +1275,70 @@ mod tests {
         assert_eq!((s.discarded_stale(), s.discarded_malformed()), (1, 4));
     }
 
+    /// A report whose `(‖b‖ + ‖δ‖)²` overflows decides on its exact
+    /// `‖ω‖²`: with `b ≈ −δ` at 1e154 the norm is small and the report is
+    /// admitted, as a receipt that swept ω always did; with `δ = b` the
+    /// norm overflows and the report is discarded.
+    #[test]
+    fn receipt_admits_an_inconclusive_bound_on_the_exact_norm() {
+        use asyncfl_telemetry::{Event, MalformedReason, MemorySink, SharedSink};
+
+        let mem = Arc::new(MemorySink::new(64));
+        let global = Vector::from(vec![1e154, 0.0]);
+        let mut s = BufferedServer::new(
+            global.clone(),
+            8,
+            1,
+            Box::new(PassthroughFilter),
+            Box::new(MeanAggregator::new()),
+        )
+        .with_sink(SharedSink::from_arc(mem.clone()));
+        let near = ClientUpdate::from_delta(0, 0, 0, &global, Vector::from(vec![-1e154, 3.0]), 1);
+        assert!(near.delta_norm_squared().is_finite());
+        assert!(s.receive(near).is_none());
+        assert_eq!((s.buffer_len(), s.discarded_malformed()), (1, 0));
+        assert_eq!(s.buffer[0].params_norm_bound(), 9.0);
+        assert_eq!(s.buffer[0].params_norm_squared(), 9.0);
+
+        let doubled = ClientUpdate::from_delta(1, 0, 0, &global, Vector::from(vec![1e154, 0.0]), 1);
+        assert!(doubled.delta_norm_squared().is_finite());
+        assert!(s.receive(doubled).is_none());
+        assert_eq!((s.buffer_len(), s.discarded_malformed()), (1, 1));
+        assert!(mem.events().contains(&Event::UpdateDiscardedMalformed {
+            client: 1,
+            round: 0,
+            reason: MalformedReason::NonFiniteNorm,
+        }));
+    }
+
+    /// A report whose bound decides is admitted without reading ω: it
+    /// carries the bound, not the norm, until a pass computes the norm,
+    /// and reading its norm before then still gives the exact value.
+    /// The round's `‖b‖²` is computed by the first receipt, not by `new`.
+    #[test]
+    fn receipt_admits_on_the_bound_and_reads_no_model() {
+        let global = Vector::from(vec![3.0, 0.0]);
+        let mut s = BufferedServer::new(
+            global.clone(),
+            8,
+            1,
+            Box::new(PassthroughFilter),
+            Box::new(MeanAggregator::new()),
+        );
+        assert_eq!(s.rounds[0].norm_sq, None);
+        let delta = Vector::from(vec![-2.0, 4.0]);
+        assert!(s
+            .receive(ClientUpdate::from_delta(0, 0, 0, &global, delta, 1))
+            .is_none());
+        assert_eq!(s.rounds[0].norm_sq, Some(9.0));
+        let buffered = &s.buffer[0];
+        assert_eq!(
+            buffered.params_norm_bound(),
+            (3.0_f64 + 20.0_f64.sqrt()).powi(2)
+        );
+        assert_eq!(buffered.params_norm_squared(), 17.0);
+    }
+
     /// In a debug build, a base other than the server's record of the
     /// round fails receipt.
     #[test]
@@ -1252,6 +1354,82 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// What receipt did with `delta` sent against a server whose
+        /// model is `base`: whether it admitted it and, if so, the bits of
+        /// its `‖ω‖²`.
+        fn receipt_of(base: &Vector, delta: &Vector) -> Option<u64> {
+            let mut s = BufferedServer::new(
+                base.clone(),
+                8,
+                0,
+                Box::new(PassthroughFilter),
+                Box::new(MeanAggregator::new()),
+            );
+            let _ = s.receive(ClientUpdate::from_delta(0, 0, 0, base, delta.clone(), 1));
+            assert_eq!(s.received(), 1);
+            assert_eq!(s.discarded_malformed() + s.buffer_len() as u64, 1);
+            s.buffer.first().map(|u| u.params_norm_squared().to_bits())
+        }
+
+        /// The decision of a receipt that reads ω: admitted when `‖δ‖²`
+        /// and `‖ω‖²` of the stored sum are finite, with that `‖ω‖²`.
+        fn exact_receipt(base: &Vector, delta: &Vector) -> Option<u64> {
+            let stored = (base + delta).norm_squared();
+            (delta.norm_squared().is_finite() && stored.is_finite()).then(|| stored.to_bits())
+        }
+
+        /// Every pair of hostile two-coordinate vectors, as base and as
+        /// payload.
+        #[test]
+        fn admission_matches_the_exact_norm_on_every_hostile_pair() {
+            let vectors = [
+                [f64::NAN, 0.0],
+                [f64::INFINITY, 0.0],
+                [f64::NEG_INFINITY, 1.0],
+                [1e308, 0.0],
+                [1e308, 1e308],
+                [1.3e154, 0.0],
+                [-1.3e154, 0.0],
+                [1e154, 0.0],
+                [-1e154, 3.0],
+                [5e-324, -5e-324],
+                [0.0, 0.0],
+                [-0.0, -0.0],
+                [1.0, -2.5],
+            ];
+            for base in vectors {
+                for delta in vectors {
+                    let (base, delta) = (Vector::from(base.to_vec()), Vector::from(delta.to_vec()));
+                    assert_eq!(
+                        receipt_of(&base, &delta),
+                        exact_receipt(&base, &delta),
+                        "{base:?} + {delta:?}"
+                    );
+                }
+            }
+        }
+
+        /// Coordinates a Byzantine client or a diverged model may hold.
+        const HOSTILE: [f64; 17] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e308,
+            -1e308,
+            1.3e154,
+            -1.3e154,
+            1e154,
+            -1e154,
+            3e153,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+        ];
 
         proptest! {
             /// Under any stream of reports: the round counter only moves
@@ -1308,6 +1486,25 @@ mod tests {
                 // update ages out inside `aggregate_now`.
                 prop_assert_eq!(s.discarded_stale(), stale_at_receipt);
                 prop_assert!(s.global().is_finite());
+            }
+
+            /// [`receipt_of`] agrees with [`exact_receipt`] on hostile
+            /// bases and payloads of one and two coordinates.
+            #[test]
+            fn prop_admission_matches_the_exact_norm(
+                picks in proptest::collection::vec(0usize..HOSTILE.len(), 4..5),
+                dim in 1usize..3,
+            ) {
+                let value = |k: usize| HOSTILE[picks[k] % HOSTILE.len()];
+                let base = Vector::from_fn(dim, value);
+                let delta = Vector::from_fn(dim, |i| value(2 + i));
+                prop_assert_eq!(
+                    receipt_of(&base, &delta),
+                    exact_receipt(&base, &delta),
+                    "{:?} + {:?}",
+                    base,
+                    delta
+                );
             }
 
             /// Aggregating with finite inputs keeps the global model finite.

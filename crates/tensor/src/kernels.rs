@@ -33,20 +33,21 @@
 //!
 //! The filter's kernels read each update's reported model as a
 //! [`Summed`] pair, a shared base plus the update's delta, summed as it
-//! is loaded: [`sum_dots`] computes a staleness group's eq. 6 dots in one
-//! blocked sweep, [`sum_norm_squared`] an update's `‖ω‖²`,
-//! [`lerp_chain_norm_squared`] applies a group's absorbs to its estimate
-//! in one blocked sweep, and the trimmed-mean bootstrap sorts columns
-//! through a branch-free sorting network (`trimmed_mean_network`, reached
-//! through [`crate::stats::trimmed_mean_vector`]). Each keeps the
+//! is loaded: [`sum_dots_norms`] computes a staleness group's eq. 6 dots
+//! and each member's `‖ω‖²` in one blocked sweep, [`sum_norm_squared`]
+//! one update's `‖ω‖²`, [`lerp_chain_norm_squared`] applies a group's
+//! absorbs to its estimate in one blocked sweep, and the trimmed-mean
+//! bootstrap sorts columns through a branch-free sorting network
+//! (`trimmed_mean_network`, reached through
+//! [`crate::stats::trimmed_mean_vector`]). Each keeps the
 //! per-element order contract of the whole-vector, per-update and
 //! comparison-sort code it replaces, on the stored sum.
 //!
 //! # SIMD-width dispatch
 //!
 //! The distance kernels (`dot`, `norm_squared`, `distance_squared`,
-//! `lerp_norm_squared`), the block kernels of [`sum_dots`],
-//! [`sum_norm_squared`] and [`lerp_chain_norm_squared`] (`sum_dot_acc`,
+//! `lerp_norm_squared`), the block kernels of [`sum_dots_norms`],
+//! [`sum_norm_squared`] and [`lerp_chain_norm_squared`] (`sum_dot_norm_acc`,
 //! `sum_norm_acc`, `sum_lerp_acc`, `sum_copy`), the sorting network's
 //! sort-and-sum step, the three
 //! GEMMs and the two optimizer steps go through runtime ISA dispatch on
@@ -322,24 +323,39 @@ fn full_lanes(len: usize) -> usize {
     len - len % LANES
 }
 
-/// [`dot_impl`]'s lane and tail accumulators, continued over `s · m`:
-/// each chunk's products add to the lanes, the remainder's to the tail.
+/// [`dot_impl`]'s and [`norm_squared`]'s lane and tail accumulators,
+/// continued over `s · m` and `s · s` in one read of `s`: each chunk's
+/// products add to the lanes, the remainder's to the tails. The two sums
+/// are separate chains, each in the order of the kernel it matches.
 #[inline(always)]
-fn sum_dot_acc_impl(s: Summed<'_>, m: &[f64], acc: &mut [f64; LANES], tail: &mut f64) {
+fn sum_dot_norm_acc_impl(
+    s: Summed<'_>,
+    m: &[f64],
+    dot: (&mut [f64; LANES], &mut f64),
+    norm: (&mut [f64; LANES], &mut f64),
+) {
     #[inline(always)]
-    fn body<S: Operand>(s: S, m: &[f64], acc: &mut [f64; LANES], tail: &mut f64) {
+    fn body<S: Operand>(
+        s: S,
+        m: &[f64],
+        (dot, dot_tail): (&mut [f64; LANES], &mut f64),
+        (norm, norm_tail): (&mut [f64; LANES], &mut f64),
+    ) {
         let full = full_lanes(m.len());
         for c in 0..full / LANES {
             let (x, y) = (s.lanes(c * LANES), chunk::<LANES>(m, c * LANES));
             for l in 0..LANES {
-                acc[l] += x[l] * y[l];
+                dot[l] += x[l] * y[l];
+                norm[l] += x[l] * x[l];
             }
         }
         for (i, y) in m.iter().enumerate().skip(full) {
-            *tail += s.get(i) * y;
+            let x = s.get(i);
+            *dot_tail += x * y;
+            *norm_tail += x * x;
         }
     }
-    with_operand!(s, |op| body(op, m, acc, tail))
+    with_operand!(s, |op| body(op, m, dot, norm))
 }
 
 /// [`norm_squared`]'s lane and tail accumulators, continued over the
@@ -443,66 +459,83 @@ pub fn sum_norm_squared(s: Summed<'_>) -> f64 {
 }
 
 /// Coordinates per block of [`lerp_chain_norm_squared`]'s and
-/// [`sum_dots`]' sweeps: 4 KiB of `f64`s, so the block of the shared
+/// [`sum_dots_norms`]' sweeps: 4 KiB of `f64`s, so the block of the shared
 /// operand (and of a shared base) stays in L1 while every source streams
 /// through it once. A multiple of [`LANES`], so a sweep split into blocks
 /// leaves every element in the accumulator lane it had.
 const CHAIN_BLOCK: usize = 512;
 const _: () = assert!(CHAIN_BLOCK.is_multiple_of(LANES));
 
-/// Members per [`sum_dots`] sweep, each with its lane accumulators on the
-/// stack: a larger group takes one sweep per this many members.
+/// Members per [`sum_dots_norms`] sweep, each with its lane accumulators
+/// on the stack: a larger group takes one sweep per this many members.
 const DOTS_PER_SWEEP: usize = 16;
 
-/// `out[j] = dot(members[j], m)` over the summed values of each member:
-/// bit-identical, member by member, to [`dot`] of the stored sum `ω` and
-/// `m` (each member keeps `dot`'s eight lane accumulators, scalar tail and
-/// `reduce` tree).
+/// `dots[j] = dot(ω_j, m)` and `norms[j] = ‖ω_j‖²` over the summed values
+/// ω_j of each member, in one read of each: bit-identical, member by
+/// member, to [`dot`] of the stored sum and `m` and to `norm_squared` of
+/// the stored sum (and so to [`sum_norm_squared`]). Each member keeps
+/// both kernels' eight lane accumulators, scalar tail and `reduce` tree.
 ///
 /// The sweep runs block by block: each block of `m` is read once for up
 /// to 16 members, and members that share a base (every update of one
 /// staleness group in a pass does) read that block of it from cache. So
 /// a group of `k` updates reads `m` and the base about `k / 16` times
-/// rather than `k` times.
+/// rather than `k` times, and each δ once for both outputs.
 ///
 /// # Panics
 ///
-/// Panics if `out` and `members` differ in count, or a member's base or
-/// delta differs in length from `m`.
-pub fn sum_dots<'a, I>(m: &[f64], members: I, out: &mut [f64])
+/// Panics if `dots`, `norms` and `members` differ in count, or a member's
+/// base or delta differs in length from `m`.
+pub fn sum_dots_norms<'a, I>(m: &[f64], members: I, dots: &mut [f64], norms: &mut [f64])
 where
     I: Iterator<Item = Summed<'a>> + Clone,
 {
-    sum_dots_at(dispatch::level(), m, members, out);
+    sum_dots_norms_at(dispatch::level(), m, members, dots, norms);
 }
 
-/// [`sum_dots`] with its block kernel run at `level`.
-fn sum_dots_at<'a, I>(level: u8, m: &[f64], members: I, out: &mut [f64])
+/// [`sum_dots_norms`] with its block kernel run at `level`.
+fn sum_dots_norms_at<'a, I>(level: u8, m: &[f64], members: I, dots: &mut [f64], norms: &mut [f64])
 where
     I: Iterator<Item = Summed<'a>> + Clone,
 {
     let len = m.len();
     assert!(
-        members.clone().count() == out.len()
+        members.clone().count() == dots.len()
+            && norms.len() == dots.len()
             && members.clone().all(|s| s.len() == len && s.consistent()),
-        "sum_dots: {} outputs, or a member's length differs from {len}",
-        out.len()
+        "sum_dots_norms: {} dots and {} norms, or a member's length differs from {len}",
+        dots.len(),
+        norms.len()
     );
-    for (sweep, outs) in out.chunks_mut(DOTS_PER_SWEEP).enumerate() {
+    let sweeps = dots
+        .chunks_mut(DOTS_PER_SWEEP)
+        .zip(norms.chunks_mut(DOTS_PER_SWEEP));
+    for (sweep, (dots, norms)) in sweeps.enumerate() {
         let batch = members
             .clone()
             .skip(sweep * DOTS_PER_SWEEP)
-            .take(outs.len());
-        let mut acc = [[0.0_f64; LANES]; DOTS_PER_SWEEP];
-        let mut tail = [0.0_f64; DOTS_PER_SWEEP];
+            .take(dots.len());
+        let mut acc = [[[0.0_f64; LANES]; 2]; DOTS_PER_SWEEP];
+        let mut tail = [[0.0_f64; 2]; DOTS_PER_SWEEP];
         for at in (0..len).step_by(CHAIN_BLOCK) {
             let r = at..len.min(at + CHAIN_BLOCK);
-            for ((s, acc), tail) in batch.clone().zip(&mut acc).zip(&mut tail) {
-                dispatch::sum_dot_acc(level, s.slice(r.clone()), &m[r.clone()], acc, tail);
+            for ((s, [dot, norm]), [dot_tail, norm_tail]) in
+                batch.clone().zip(&mut acc).zip(&mut tail)
+            {
+                dispatch::sum_dot_norm_acc(
+                    level,
+                    s.slice(r.clone()),
+                    &m[r.clone()],
+                    (dot, dot_tail),
+                    (norm, norm_tail),
+                );
             }
         }
-        for ((o, acc), tail) in outs.iter_mut().zip(acc).zip(tail) {
-            *o = reduce(acc, tail);
+        for (((d, n), [dot, norm]), [dot_tail, norm_tail]) in
+            dots.iter_mut().zip(norms).zip(acc).zip(tail)
+        {
+            *d = reduce(dot, dot_tail);
+            *n = reduce(norm, norm_tail);
         }
     }
 }
@@ -1325,7 +1358,7 @@ mod dispatch {
         norm_squared => norm_squared_impl(a: &[f64]) -> f64;
         distance_squared => distance_squared_impl(a: &[f64], b: &[f64]) -> f64;
         lerp_norm_squared => lerp_norm_squared_impl(a: &mut [f64], b: &[f64], t: f64) -> f64;
-        sum_dot_acc => sum_dot_acc_impl(s: Summed<'_>, m: &[f64], acc: &mut [f64; LANES], tail: &mut f64);
+        sum_dot_norm_acc => sum_dot_norm_acc_impl(s: Summed<'_>, m: &[f64], dot: (&mut [f64; LANES], &mut f64), norm: (&mut [f64; LANES], &mut f64));
         sum_norm_acc => sum_norm_acc_impl(s: Summed<'_>, acc: &mut [f64; LANES], tail: &mut f64);
         sum_lerp_acc => sum_lerp_acc_impl(a: &mut [f64], s: Summed<'_>, t: f64, acc: Option<(&mut [f64; LANES], &mut f64)>);
         sum_copy => sum_copy_impl(a: &mut [f64], s: Summed<'_>);
@@ -1773,13 +1806,14 @@ mod tests {
         reduce(acc, tail)
     }
 
-    /// `sum_dots` and `sum_norm_squared` against the lane contract of
-    /// `dot` and `norm_squared` on the stored sums, at every level: members alone and on a shared
-    /// base, groups of 1, 16 and 21 members (one sweep, a full sweep, a
-    /// second partial sweep), lengths around the lane width and block.
+    /// `sum_dots_norms` and `sum_norm_squared` against the lane contract
+    /// of `dot` and `norm_squared` and against those kernels on the stored
+    /// sums, at every level: members alone and on two bases, groups of 1,
+    /// 16, 17 and 21 members (one sweep, a full sweep, a second sweep of
+    /// one and of five), lengths around the lane width and the block.
     #[test]
-    fn sum_dots_and_norms_are_bit_identical_to_the_stored_sum_at_every_level() {
-        for n in [0usize, 1, 7, 8, 9, 511, 512, 513, 1030] {
+    fn sum_dots_norms_are_bit_identical_to_the_stored_sum_at_every_level() {
+        for n in [0usize, 1, 7, 8, 9, 511, 512, 513, 1030, 1537] {
             let m = special_data(n, 4.5, false);
             let bases = [special_data(n, 1.25, false), special_data(n, 2.75, true)];
             let deltas: Vec<Vec<f64>> = (0..21)
@@ -1795,18 +1829,29 @@ mod tests {
                     delta: d,
                 })
                 .collect();
-            for count in [1, 16, 21] {
+            let stored: Vec<Vec<f64>> = members.iter().map(|s| s.to_vec()).collect();
+            for count in [1, 16, 17, 21] {
                 let group = &members[..count];
-                let want: Vec<f64> = group.iter().map(|s| lane_dot(&s.to_vec(), &m)).collect();
+                let want_dots: Vec<f64> = stored[..count].iter().map(|w| lane_dot(w, &m)).collect();
+                let want_norms: Vec<f64> = stored[..count].iter().map(|w| lane_dot(w, w)).collect();
                 for level in isa_levels() {
-                    let mut got = vec![f64::NAN; count];
-                    sum_dots_at(level, &m, group.iter().copied(), &mut got);
-                    assert_same_bits(&got, &want, &format!("dots n={n} k={count} level={level}"));
+                    let at = format!("n={n} k={count} level={level}");
+                    let (mut dots, mut norms) = (vec![f64::NAN; count], vec![f64::NAN; count]);
+                    sum_dots_norms_at(level, &m, group.iter().copied(), &mut dots, &mut norms);
+                    assert_same_bits(&dots, &want_dots, &format!("dots {at}"));
+                    assert_same_bits(&norms, &want_norms, &format!("norms {at}"));
+                    for (k, w) in stored[..count].iter().enumerate() {
+                        assert!(
+                            same_bits(dots[k], dispatch::dot(level, w, &m)),
+                            "dot {k} {at}"
+                        );
+                        let norm = dispatch::norm_squared(level, w);
+                        assert!(same_bits(norms[k], norm), "norm_squared {k} {at}");
+                    }
                 }
             }
             for (k, &s) in members.iter().enumerate() {
-                let stored = s.to_vec();
-                let want = lane_dot(&stored, &stored);
+                let want = lane_dot(&stored[k], &stored[k]);
                 for level in isa_levels() {
                     let (mut acc, mut tail) = ([0.0; LANES], 0.0);
                     dispatch::sum_norm_acc(level, s, &mut acc, &mut tail);
@@ -1819,14 +1864,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sum_dots")]
-    fn sum_dots_rejects_a_short_base() {
+    #[should_panic(expected = "sum_dots_norms")]
+    fn sum_dots_norms_rejects_a_short_base() {
         let (m, d, b) = ([1.0; 9], [1.0; 9], [1.0; 8]);
         let member = Summed {
             base: Some(&b[..]),
             delta: &d,
         };
-        sum_dots(&m, [member].into_iter(), &mut [0.0]);
+        sum_dots_norms(&m, [member].into_iter(), &mut [0.0], &mut [0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sum_dots_norms")]
+    fn sum_dots_norms_rejects_outputs_of_another_count() {
+        let (m, d) = ([1.0; 9], [1.0; 9]);
+        sum_dots_norms(&m, [Summed::from(&d[..])].into_iter(), &mut [0.0], &mut []);
     }
 
     #[test]

@@ -20,7 +20,7 @@ static ALLOC: asyncfilter::telemetry::alloc::CountingAllocator =
 
 const OMEGA: usize = 8_192;
 const DIM: usize = 330;
-/// About twice the 4 246 552 bytes one such pass allocates (the stable
+/// About twice the 4 312 088 bytes one such pass allocates (the stable
 /// sorts allocated 25 941 480).
 const PASS_BYTES_BOUND: u64 = 9_000_000;
 

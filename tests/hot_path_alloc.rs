@@ -1,16 +1,19 @@
 //! Allocation bounds on the hot paths (DESIGN.md §9): a warm AsyncFilter
-//! pass, ingest short of an aggregation, a FedBuff mean aggregate, one
-//! local training call, kickoff spawning, and a whole small run per
-//! received update.
+//! pass, ingest short of an aggregation, a FedBuff mean aggregate, an NNM
+//! aggregate, one local training call, kickoff spawning, and a whole small
+//! run per received update.
 //!
 //! Allocation is deterministic at a fixed workload, so each bound is about
-//! twice what was measured, with the measured value next to it. A copy or
-//! an allocation per update, an allocation per training step or a second
-//! shard synthesis per dispatch creeping back in fails one of them. The
+//! twice what was measured, with the measured value next to it, or
+//! tighter where twice would still pass the code the bound is there to
+//! fail. A copy or an allocation per update, an allocation per training
+//! step or a second shard synthesis per dispatch creeping back in fails
+//! one of them. The
 //! allocator counters are process-global, so this file has a single
 //! `#[test]` function: a second one running on a parallel test thread
 //! would count into the first one's measurements.
 
+use asyncfilter::core::preagg::NnmAggregator;
 use asyncfilter::core::ScoreRecord;
 use asyncfilter::data::Dataset;
 use asyncfilter::ml::train::{build_model, build_optimizer, LocalTrainer};
@@ -48,12 +51,13 @@ const WARM_PASS_ALLOCS_BOUND: u64 = 30;
 /// in, and the weights. A separate mean vector (2 097 408 in all) fails
 /// it; copying every delta would allocate 35 652 608.
 const AGGREGATE_BYTES_BOUND: u64 = 1_600_000;
-/// About twice the 5 952 bytes that 31 non-aggregating `from_delta` +
-/// `receive` calls allocate in all at dim 131 072: the buffer's growth
-/// (576 + 768 + 1 536 + 3 072), no model-sized vector. Building ω per
-/// update allocated 1 MiB per call.
-const INGEST_BYTES_BOUND: u64 = 12_000;
-const _: () = assert!(INGEST_BYTES_BOUND < WIDE_VECTOR_BYTES);
+/// Updates in the NNM aggregate at dim 131 072.
+const NNM_UPDATES: u64 = 8;
+/// One model-sized vector above what an NNM aggregate of `NNM_UPDATES`
+/// wide updates over a mean needs: a mixed delta per update and the next
+/// model (9 437 184 bytes of vectors, 9 439 104 measured in all). Cloning
+/// each update before overwriting its delta allocated 8 MiB more.
+const NNM_BYTES_BOUND: u64 = (NNM_UPDATES + 2) * WIDE_VECTOR_BYTES;
 /// About twice the 104 944 bytes one CIFAR-profile `train` call allocates
 /// (256 samples, 5 epochs, batch 64).
 const TRAIN_BYTES_BOUND: u64 = 210_000;
@@ -187,9 +191,10 @@ fn hot_paths_stay_within_their_allocation_bounds() {
     let paper = filter_pass_costs(CIFAR_PARAMS, 40, 5);
     assert_warm_passes(&paper, "dim 1 898, Ω = 40", PAPER_PASS_BYTES_BOUND);
 
-    // Ingest short of an aggregation: `from_delta` plus `receive` of a
-    // wide delta builds no ω, so what it allocates is the buffer's growth
-    // alone, far below one model-sized vector.
+    // Ingest short of an aggregation, after the first pass: `from_delta`
+    // plus `receive` of a wide delta builds no ω and the buffer keeps its
+    // capacity across passes, so it allocates nothing. Regrowing the
+    // buffer cost 5 952 bytes a pass, building ω 1 MiB per call.
     let mut server = BufferedServer::new(
         Vector::zeros(WIDE_DIM),
         32,
@@ -198,20 +203,27 @@ fn hot_paths_stay_within_their_allocation_bounds() {
         Box::new(MeanAggregator::new()),
     );
     let mut rng = StdRng::seed_from_u64(0x1A6);
-    let mut ingest = Vec::new();
-    for i in 0..31 {
-        let delta = Vector::from_fn(WIDE_DIM, |_| rng.random_range(-0.5..0.5));
+    let mut wide_delta = || Vector::from_fn(WIDE_DIM, |_| rng.random_range(-0.5..0.5));
+    for i in 0..32 {
         let base = server.global_arc();
+        server.receive(ClientUpdate::from_delta(i, 0, 0, &base, wide_delta(), 10));
+    }
+    assert_eq!(server.round(), 1);
+    let mut ingest = Vec::new();
+    for i in server.buffer_len()..31 {
+        let (delta, base) = (wide_delta(), server.global_arc());
         let (report, bytes) =
-            measure(|| server.receive(ClientUpdate::from_delta(i, 0, 0, &base, delta, 10)));
+            measure(|| server.receive(ClientUpdate::from_delta(i, 1, 0, &base, delta, 10)));
         assert!(report.is_none());
         ingest.push(bytes);
     }
     let total: u64 = ingest.iter().sum();
-    assert!(
-        total <= INGEST_BYTES_BOUND,
-        "31 non-aggregating from_delta + receive calls at dim {WIDE_DIM} allocated {total} \
-         bytes (bound {INGEST_BYTES_BOUND}): {ingest:?}"
+    assert_eq!(
+        total,
+        0,
+        "{} non-aggregating from_delta + receive calls after the first pass at dim \
+         {WIDE_DIM} allocated {total} bytes: {ingest:?}",
+        ingest.len()
     );
     drop(server);
 
@@ -232,6 +244,26 @@ fn hot_paths_stay_within_their_allocation_bounds() {
         bytes <= AGGREGATE_BYTES_BOUND,
         "one mean aggregate at dim {WIDE_DIM}, Ω = 32 allocated {bytes} bytes \
          (bound {AGGREGATE_BYTES_BOUND})"
+    );
+
+    // One NNM aggregate (k = 3, over a mean) of wide updates: a mixed
+    // delta per update, no copy of the update it replaces.
+    let mut rng = StdRng::seed_from_u64(0x22A);
+    let base = Arc::new(Vector::zeros(WIDE_DIM));
+    let updates: Vec<ClientUpdate> = (0..NNM_UPDATES as usize)
+        .map(|i| {
+            let delta = Vector::from_fn(WIDE_DIM, |_| rng.random_range(-0.5..0.5));
+            ClientUpdate::with_base(i, 0, 0, Arc::clone(&base), delta, 10)
+        })
+        .collect();
+    let mut nnm = NnmAggregator::new(3, Box::new(MeanAggregator::new()));
+    let (next, bytes) = measure(|| nnm.aggregate(&updates, &base));
+    assert_eq!(next.len(), WIDE_DIM);
+    drop((next, updates));
+    assert!(
+        bytes <= NNM_BYTES_BOUND,
+        "one NNM aggregate of {NNM_UPDATES} updates at dim {WIDE_DIM} allocated {bytes} bytes \
+         (bound {NNM_BYTES_BOUND})"
     );
 
     // One local training call on the CIFAR profile, and what each epoch
