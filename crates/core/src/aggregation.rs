@@ -238,13 +238,22 @@ impl Aggregator for KrumAggregator {
         }
         let scores = self.scores(updates);
         let mut order: Vec<usize> = (0..updates.len()).collect();
-        // lint:allow(P2) -- order permutes 0..updates.len(), matching scores' length
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "order permutes 0..updates.len(), matching scores' length"
+        )]
         order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
-        // lint:allow(P2) -- select is clamped to updates.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "select is clamped to updates.len()"
+        )]
         let chosen = &order[..self.select.min(updates.len())];
         let mut mean = Vector::zeros(global.len());
         for &i in chosen {
-            // lint:allow(P2) -- chosen comes from order, a permutation of 0..updates.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "chosen comes from order, a permutation of 0..updates.len()"
+            )]
             mean.axpy(1.0 / chosen.len() as f64, &updates[i].delta);
         }
         global + &mean

@@ -532,8 +532,10 @@ impl AsyncFilter {
                 if let Some(state) = self.groups.get(&key) {
                     ests.push((&state.ma, state.norm_sq));
                 } else {
-                    // lint:allow(P2) -- bootstrap_estimates emits one entry per
-                    // non-live key, in the same ascending order walked here
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "bootstrap_estimates emits one entry per non-live key, in the same ascending order walked here"
+                    )]
                     let (bk, ma, norm_sq) = &boot[bi];
                     debug_assert_eq!(*bk, key);
                     bi += 1;
@@ -548,7 +550,8 @@ impl AsyncFilter {
         scr.dist_sq.clear();
         scr.dist_sq.resize(n, 0.0);
         for (gi, &key) in scr.uniq.iter().enumerate() {
-            let (own, own_norm_sq) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
+            #[expect(clippy::indexing_slicing, reason = "ests is aligned with uniq")]
+            let (own, own_norm_sq) = ests[gi];
             let keys = &scr.keys;
             let own_group = |i| keys.get(i) == Some(&key);
             eq6_into(
@@ -575,7 +578,8 @@ impl AsyncFilter {
         scr.cross.clear();
         scr.cross.resize(g * n, 0.0);
         for (gi, &key) in scr.uniq.iter().enumerate() {
-            let (ma, ma_norm_sq) = ests[gi]; // lint:allow(P2) -- aligned with uniq
+            #[expect(clippy::indexing_slicing, reason = "ests is aligned with uniq")]
+            let (ma, ma_norm_sq) = ests[gi];
             let keys = &scr.keys;
             let others = |i| keys.get(i).is_some_and(|&k| k != key);
             eq6_into(
@@ -597,7 +601,7 @@ impl AsyncFilter {
             }
         }
         for (i, d) in scr.dist_sq.iter_mut().enumerate() {
-            // lint:allow(P2) -- cross is sized to g·n
+            #[expect(clippy::indexing_slicing, reason = "cross is sized to g·n")]
             if !sum_seq((0..g).map(|r| scr.cross[r * n + i])).is_finite() {
                 *d = f64::NAN;
             }
@@ -696,11 +700,15 @@ impl UpdateFilter for AsyncFilter {
                 // key order.
                 let g = scr.uniq.len();
                 for i in 0..n {
-                    // lint:allow(P2) -- cross is sized to g·n
+                    #[expect(clippy::indexing_slicing, reason = "cross is sized to g·n")]
                     let denom = root_sum_sq((0..g).map(|r| scr.cross[r * n + i]));
                     if denom > 0.0 {
-                        // lint:allow(P2) -- scores/dist sized to n
-                        scr.scores[i] = scr.dist[i] / denom;
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "scores and dist are sized to n"
+                        )]
+                        let (dist, score) = (scr.dist[i], &mut scr.scores[i]);
+                        *score = dist / denom;
                     }
                 }
             }
@@ -715,10 +723,15 @@ impl UpdateFilter for AsyncFilter {
                     );
                     if denom > 0.0 {
                         for i in 0..n {
-                            // lint:allow(P2) -- keys/scores/dist sized to n
-                            if scr.keys[i] == key {
-                                // lint:allow(P2) -- scores/dist sized to n
-                                scr.scores[i] = scr.dist[i] / denom;
+                            #[expect(clippy::indexing_slicing, reason = "keys is sized to n")]
+                            let in_group = scr.keys[i] == key;
+                            if in_group {
+                                #[expect(
+                                    clippy::indexing_slicing,
+                                    reason = "scores and dist are sized to n"
+                                )]
+                                let (dist, score) = (scr.dist[i], &mut scr.scores[i]);
+                                *score = dist / denom;
                             }
                         }
                         // Eq. 7 invariant, per group: unit-norm score slice.
@@ -779,13 +792,15 @@ impl UpdateFilter for AsyncFilter {
         // `min_separation` times as much as the middle stands out from the
         // bottom — a benign score continuum produces comparable gaps, an
         // actual poisoning cluster produces a dominant top gap.
-        let c_top = clustering.centroids[reject_cluster]; // lint:allow(P2) -- cluster ids index centroids
-        let c_low = clustering.centroids[accept_cluster]; // lint:allow(P2) -- cluster ids index centroids
-                                                          // Gate reference: the median score of the *non-top* clusters. Using
-                                                          // the overall median would let a large attacker cohort (e.g. the
-                                                          // doubled-attacker study, 40 %) drag the reference up and mask
-                                                          // itself; excluding the top cluster keeps the reference benign for
-                                                          // any attacker share below the remaining majority.
+        #[expect(clippy::indexing_slicing, reason = "cluster ids index centroids")]
+        let c_top = clustering.centroids[reject_cluster];
+        #[expect(clippy::indexing_slicing, reason = "cluster ids index centroids")]
+        let c_low = clustering.centroids[accept_cluster];
+        // Gate reference: the median score of the *non-top* clusters. Using
+        // the overall median would let a large attacker cohort (e.g. the
+        // doubled-attacker study, 40 %) drag the reference up and mask
+        // itself; excluding the top cluster keeps the reference benign for
+        // any attacker share below the remaining majority.
         scr.rest.clear();
         scr.rest.extend(
             scr.scores

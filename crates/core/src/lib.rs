@@ -56,6 +56,7 @@
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
 
 pub mod aggregation;
 pub mod asyncfilter;

@@ -74,7 +74,10 @@ impl Aggregator for BucketingAggregator {
             let mut base_round = u64::MAX;
             let mut malicious = false;
             for &i in chunk {
-                // lint:allow(P2) -- bucket chunks hold indices below updates.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "bucket chunks hold indices below updates.len()"
+                )]
                 let src = &updates[i];
                 delta.axpy(1.0 / chunk.len() as f64, &src.delta);
                 samples += src.num_samples;
@@ -175,7 +178,10 @@ impl Aggregator for NnmAggregator {
                 dists.sort_by(|a, b| a.0.total_cmp(&b.0));
                 let mut delta = Vector::zeros(global.len());
                 for &(_, j) in dists.iter().take(k) {
-                    // lint:allow(P2) -- dists pairs carry indices below updates.len()
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "dists pairs carry indices below updates.len()"
+                    )]
                     delta.axpy(1.0 / k as f64, &updates[j].delta);
                 }
                 u.with_delta(delta)

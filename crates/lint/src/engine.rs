@@ -1,19 +1,14 @@
-//! Per-file lint engine: parse → AST rules, plus file classification,
+//! Per-file lint engine: lex → token rules, plus file classification,
 //! `lint:allow` directive handling (multi-line reasons, staleness
-//! detection) and diagnostic positions. A file the parser rejects is a
-//! violation in its own right: no rule can vouch for code it cannot see.
+//! detection) and diagnostic positions.
 
-use crate::ast::LineIndex;
-use crate::ast_rules;
-use crate::parser;
 use crate::rules::{self, RuleHit};
 use crate::tokenizer;
 
 /// A confirmed lint violation (or directive problem) in one file.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`F2`, `F3`, `P2`; `A0`/`A2` for directive
-    /// problems; `parse` for a file the parser rejects).
+    /// Rule identifier (`F2`, `F3`; `A0`/`A2` for directive problems).
     pub rule: String,
     /// Workspace-relative path.
     pub path: String,
@@ -58,14 +53,8 @@ pub struct FileReport {
 /// path. Decides which rules apply (see `docs/LINTS.md` for the matrix).
 #[derive(Debug, Clone, Default)]
 pub struct FileClass {
-    /// `crates/<name>/…` member name, if any.
-    pub crate_name: Option<String>,
     /// Whole file is test code: `tests/` integration dirs and `benches/`.
     pub is_test_file: bool,
-    /// Binary target: `src/bin/**` or a `main.rs`.
-    pub is_binary: bool,
-    /// Example under an `examples/` directory.
-    pub is_example: bool,
     /// Part of `crates/bench` (measurement harness; exempt from F3).
     pub is_bench_crate: bool,
 }
@@ -74,20 +63,51 @@ impl FileClass {
     /// Classifies a workspace-relative path (`/` separators).
     pub fn classify(rel_path: &str) -> Self {
         let parts: Vec<&str> = rel_path.split('/').collect();
-        let crate_name = if parts.first() == Some(&"crates") && parts.len() > 1 {
-            Some(parts[1].to_string())
-        } else {
-            None
-        };
         let has_dir = |d: &str| parts.iter().rev().skip(1).any(|p| *p == d);
-        let file_name = parts.last().copied().unwrap_or("");
         Self {
             is_test_file: has_dir("tests") || has_dir("benches"),
-            is_binary: has_dir("bin") || file_name == "main.rs",
-            is_example: has_dir("examples"),
-            is_bench_crate: crate_name.as_deref() == Some("bench"),
-            crate_name,
+            is_bench_crate: rel_path.starts_with("crates/bench/"),
         }
+    }
+}
+
+/// Line-start table for byte-offset → (line, column) conversion.
+struct LineIndex {
+    /// Byte offset at which each 0-based line starts.
+    starts: Vec<u32>,
+}
+
+impl LineIndex {
+    fn new(source: &str) -> Self {
+        let mut starts = vec![0u32];
+        for (i, b) in source.bytes().enumerate() {
+            if b == b'\n' {
+                starts.push(i as u32 + 1);
+            }
+        }
+        Self { starts }
+    }
+
+    /// 1-based (line, column) of a byte offset. Columns count bytes from
+    /// the line start, which matches what editors display for ASCII
+    /// source.
+    fn line_col(&self, offset: u32) -> (u32, u32) {
+        let line = self.starts.partition_point(|&s| s <= offset).max(1);
+        let start = self.starts.get(line - 1).copied().unwrap_or(0);
+        (line as u32, offset - start + 1)
+    }
+
+    /// The text of the 1-based `line` in `source`, without its trailing
+    /// newline; `None` for an empty or out-of-range line.
+    fn line_text(&self, source: &str, line: u32) -> Option<String> {
+        let idx = line.checked_sub(1)? as usize;
+        let start = *self.starts.get(idx)? as usize;
+        let end = self
+            .starts
+            .get(idx + 1)
+            .map_or(source.len(), |&e| e as usize);
+        let text = source.get(start..end)?.trim_end_matches(['\n', '\r']);
+        (!text.is_empty()).then(|| text.to_string())
     }
 }
 
@@ -111,28 +131,7 @@ pub fn check_source(rel_path: &str, source: &str) -> FileReport {
     let index = LineIndex::new(source);
 
     let mut report = FileReport::default();
-    let file = match parser::parse_file(&lexed) {
-        Ok(file) => file,
-        Err(e) => {
-            report.violations.push(to_diagnostic(
-                rel_path,
-                RuleHit {
-                    rule: "parse",
-                    line: e.span.line,
-                    span: (e.span.start, e.span.end),
-                    message: format!(
-                        "file did not parse ({}), so no rule checked it; fix the syntax \
-                         or teach the parser the construct",
-                        e.message
-                    ),
-                },
-                source,
-                &index,
-            ));
-            return report;
-        }
-    };
-    let hits = ast_rules::scan(&file, &class, rel_path);
+    let hits = rules::scan(&lexed.tokens, &class, rel_path);
 
     // Directive collection with multi-line reason folding: a directive
     // comment absorbs immediately-following comment lines (rustfmt-wrapped
@@ -239,15 +238,6 @@ pub fn check_source(rel_path: &str, source: &str) -> FileReport {
     report
 }
 
-fn line_snippet(index: &LineIndex, source: &str, line: u32) -> Option<String> {
-    let text = index.line_text(source, line);
-    if text.is_empty() {
-        None
-    } else {
-        Some(text.to_string())
-    }
-}
-
 fn to_diagnostic(path: &str, hit: RuleHit, source: &str, index: &LineIndex) -> Diagnostic {
     let (line, col) = index.line_col(hit.span.0);
     Diagnostic {
@@ -256,7 +246,7 @@ fn to_diagnostic(path: &str, hit: RuleHit, source: &str, index: &LineIndex) -> D
         line,
         col,
         span: Some(hit.span),
-        snippet: line_snippet(index, source, line),
+        snippet: index.line_text(source, line),
         message: hit.message,
     }
 }
@@ -335,84 +325,72 @@ fn parse_allow(comment: &str) -> ParsedAllow {
 mod tests {
     use super::*;
 
+    const LIB: &str = "crates/core/src/x.rs";
+
     #[test]
     fn classify_paths() {
         let lib = FileClass::classify("crates/core/src/asyncfilter.rs");
-        assert_eq!(lib.crate_name.as_deref(), Some("core"));
-        assert!(!lib.is_binary && !lib.is_test_file && !lib.is_bench_crate);
-
-        let bin = FileClass::classify("crates/bench/src/bin/repro.rs");
-        assert!(bin.is_binary && bin.is_bench_crate);
-
-        let main = FileClass::classify("crates/lint/src/main.rs");
-        assert!(main.is_binary && !main.is_bench_crate);
-
-        let integration = FileClass::classify("tests/end_to_end.rs");
-        assert!(integration.is_test_file);
-        assert!(FileClass::classify("examples/quickstart.rs").is_example);
+        assert!(!lib.is_test_file && !lib.is_bench_crate);
+        assert!(FileClass::classify("crates/bench/src/bin/repro.rs").is_bench_crate);
+        assert!(FileClass::classify("tests/end_to_end.rs").is_test_file);
+        assert!(FileClass::classify("crates/core/benches/b.rs").is_test_file);
+        assert!(!FileClass::classify("examples/quickstart.rs").is_test_file);
     }
 
     #[test]
-    fn cfg_test_module_is_exempt_from_p2() {
-        let src =
-            "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn f(x: &[u8]) -> u8 { x[0] }\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+    fn line_index_round_trips() {
+        let src = "ab\ncd\n\nxyz";
+        let idx = LineIndex::new(src);
+        assert_eq!(idx.line_col(0), (1, 1));
+        assert_eq!(idx.line_col(1), (1, 2));
+        assert_eq!(idx.line_col(3), (2, 1));
+        assert_eq!(idx.line_col(6), (3, 1));
+        assert_eq!(idx.line_col(7), (4, 1));
+        assert_eq!(idx.line_text(src, 2).as_deref(), Some("cd"));
+        assert_eq!(idx.line_text(src, 3), None, "empty line");
+        assert_eq!(idx.line_text(src, 4).as_deref(), Some("xyz"));
+        assert_eq!(idx.line_text(src, 99), None);
+    }
+
+    #[test]
+    fn test_gate_ends_with_its_item() {
+        // An item's header may hold a `,` (generics, a `where` clause)
+        // before its body opens; a field's gate ends at its `,`.
+        let src = "#[cfg(test)]\nmod tests {}\nfn f(x: f64) -> bool { x == 0.5 }\n\
+                   struct S {\n    #[cfg(test)]\n    a: u8,\n}\nfn g(x: f64) -> bool { x == 0.5 }\n\
+                   #[test]\nfn t() -> Result<(), E> { assert!(X == 0.5); Ok(()) }\n\
+                   #[cfg(test)]\n#[allow(dead_code)]\nimpl<A, B> T for S where A: X, B: Y {\n    \
+                   fn h(x: f64) -> bool { x == 0.5 }\n}\n#[cfg(test)]\n\
+                   pub(crate) fn u<A, B>(x: f64) -> bool { x == 0.5 }\nfn k(x: f64) -> bool { x == 0.5 }\n";
+        let lines: Vec<u32> = check_source(LIB, src)
+            .violations
+            .iter()
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(lines, vec![3, 8, 18]);
     }
 
     #[test]
     fn cfg_not_test_is_still_live_code() {
-        let src = "#[cfg(not(test))]\nfn f(x: &[u8]) -> u8 { x[0] }\n";
-        let report = check_source("crates/core/src/x.rs", src);
+        let src = "#[cfg(not(test))]\nfn f(x: f64) -> bool { x == 0.5 }\n";
+        let report = check_source(LIB, src);
         assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "P2");
+        assert_eq!(report.violations[0].rule, "F2");
     }
 
     #[test]
     fn allow_with_reason_suppresses_and_counts() {
-        let src = "fn f(x: &[u8]) -> u8 {\n    x[0] // lint:allow(P2) -- checked above\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
+        let src = "fn f(x: f64) -> bool {\n    x == 0.5 // lint:allow(F2) -- sentinel\n}\n";
+        let report = check_source(LIB, src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
     }
 
     #[test]
     fn allow_on_previous_line_suppresses() {
-        let src =
-            "fn f(x: &[u8]) -> u8 {\n    // lint:allow(P2) -- invariant: nonempty\n    x[0]\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
+        let src = "fn f(x: f64) -> bool {\n    // lint:allow(F2) -- sentinel\n    x == 0.5\n}\n";
+        let report = check_source(LIB, src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn allow_without_reason_is_a_violation() {
-        let src = "fn f(x: &[u8]) -> u8 {\n    x[0] // lint:allow(P2)\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
-        assert!(report.violations.iter().any(|d| d.rule == "A0"));
-    }
-
-    #[test]
-    fn allow_unknown_rule_is_a_violation() {
-        let src = "// lint:allow(Z9) -- bogus\nfn f() {}\n";
-        let report = check_source("crates/core/src/x.rs", src);
-        assert!(report.violations.iter().any(|d| d.rule == "A0"));
-    }
-
-    #[test]
-    fn allow_naming_a_clippy_enforced_id_is_a_violation() {
-        // P1 moved to clippy: its escape hatch is `#[expect(clippy::panic)]`.
-        let src = "fn f() {\n    // lint:allow(P1) -- retired id\n    g();\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].rule, "A0");
-    }
-
-    #[test]
-    fn stale_allow_is_an_error() {
-        let src = "fn f() {\n    // lint:allow(F2) -- stale justification\n    let x = 1;\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert_eq!(report.violations[0].rule, "A2");
     }
 
     #[test]
@@ -420,16 +398,18 @@ mod tests {
         // rustfmt wrapping splits the reason across comment lines; the
         // directive must keep its justification AND still cover the code
         // line that follows the wrapped block.
-        let src = "fn f(x: &[u8]) -> u8 {\n    // lint:allow(P2) --\n    // invariant: the buffer is\n    // non-empty after insert\n    x[0]\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
+        let src = "fn f(x: f64) -> bool {\n    // lint:allow(F2) --\n    // invariant: the \
+                   sentinel is\n    // written by us\n    x == 0.5\n}\n";
+        let report = check_source(LIB, src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
     }
 
     #[test]
     fn wrapped_reason_with_partial_first_line() {
-        let src = "fn f(x: &[u8]) -> u8 {\n    // lint:allow(P2) -- invariant: the\n    // buffer is non-empty\n    x[0]\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
+        let src = "fn f(x: f64) -> bool {\n    // lint:allow(F2) -- invariant: the\n    \
+                   // sentinel is bit-exact\n    x == 0.5\n}\n";
+        let report = check_source(LIB, src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used, 1);
     }
@@ -437,7 +417,7 @@ mod tests {
     #[test]
     fn diagnostics_carry_position_and_snippet() {
         let src = "fn f(x: f64) -> bool {\n    x == 0.5\n}\n";
-        let report = check_source("crates/core/src/x.rs", src);
+        let report = check_source(LIB, src);
         assert_eq!(report.violations.len(), 1);
         let d = &report.violations[0];
         assert_eq!(d.line, 2);
@@ -448,15 +428,15 @@ mod tests {
     }
 
     #[test]
-    fn malformed_file_is_a_hard_failure() {
-        let src = "fn f( {\n    let q = x[0];\n";
-        let report = check_source("crates/core/src/x.rs", src);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        let d = &report.violations[0];
-        assert_eq!(
-            (d.rule.as_str(), d.path.as_str()),
-            ("parse", "crates/core/src/x.rs")
-        );
-        assert!(d.line >= 1 && d.message.contains("did not parse"), "{d:?}");
+    fn unbalanced_source_does_not_panic() {
+        for src in [
+            "fn f( {\n    x == 0.5;\n",
+            "}}) ]\nlet a: f64 = ",
+            "|x",
+            "#[",
+            "fn",
+        ] {
+            let _ = check_source(LIB, src);
+        }
     }
 }

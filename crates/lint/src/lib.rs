@@ -1,23 +1,22 @@
-//! `asyncfl-lint` — the AsyncFilter workspace's parser-based lints: the
-//! project invariants clippy cannot express.
+//! `asyncfl-lint` — the AsyncFilter workspace's token lints: the project
+//! invariants clippy cannot express.
 //!
 //! AsyncFilter's verdicts hinge on floating-point suspicious scores (paper
-//! eqs. 6–7) and a 1-D 3-means over them (§4.3). The determinism, NaN-order
-//! and panic-freedom rules clippy can hold (D1, D2, D4, F1, P1) live in the
-//! root `clippy.toml` and each library crate's root attributes. This crate
-//! is a small Rust tokenizer and parser plus a per-file engine for the rest:
+//! eqs. 6–7) and a 1-D 3-means over them (§4.3). The determinism, NaN-order,
+//! indexing and panic-freedom rules clippy can hold (D1, D2, D4, F1, P1, P2)
+//! live in the root `clippy.toml` and each library crate's root attributes.
+//! This crate is a small Rust tokenizer plus a per-file engine for the rest:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `F2` | no float `==`/`!=` against nonzero literals or NaN/∞ in non-test code |
 //! | `F3` | no ad-hoc float reductions outside `asyncfl-tensor::kernels` |
-//! | `P2` | no unchecked indexing in non-test code of the hot-path crates |
 //! | `A0`/`A2` | every `lint:allow` names a rule, gives a reason, and suppresses something |
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the violating line
-//! or the line above. The reason is mandatory. A file the parser rejects
-//! fails the run. See `docs/LINTS.md` for the full catalogue, including the
-//! clippy-enforced ids, and the rule-applicability matrix.
+//! or the line above. The reason is mandatory. See `docs/LINTS.md` for the
+//! full catalogue, including the clippy-enforced ids, and the
+//! rule-applicability matrix.
 //!
 //! Run it as `cargo run -p asyncfl-lint -- check`. The crate has zero
 //! external dependencies, like `asyncfl-telemetry`.
@@ -30,10 +29,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod ast;
-pub mod ast_rules;
 pub mod engine;
-pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod tokenizer;

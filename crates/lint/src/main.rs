@@ -1,13 +1,13 @@
-//! CLI for the AsyncFilter workspace's parser-based lints (F2, F3, P2 and
-//! the `lint:allow` directive checks); the rest of the catalogue is clippy's.
+//! CLI for the AsyncFilter workspace's token lints (F2, F3 and the
+//! `lint:allow` directive checks); the rest of the catalogue is clippy's.
 //!
 //! ```text
 //! asyncfl-lint check [--root DIR] [PATH...]
 //! ```
 //!
 //! With no `PATH`s, walks `crates/*/src`, `src/`, `tests/` and `examples/`
-//! under the workspace root. Exit codes: `0` clean, `1` violations found
-//! (a file the parser rejects is one), `2` usage or I/O error.
+//! under the workspace root. Exit codes: `0` clean, `1` violations found,
+//! `2` usage or I/O error.
 
 use std::fs;
 use std::path::{Path, PathBuf};

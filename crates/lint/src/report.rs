@@ -41,17 +41,15 @@ impl RunSummary {
 }
 
 fn render_human_diag(out: &mut String, d: &Diagnostic) {
-    if d.col > 0 {
-        out.push_str(&format!(
-            "{}:{}:{}: [{}] {}\n",
-            d.path, d.line, d.col, d.rule, d.message
-        ));
+    let col = if d.col > 0 {
+        format!(":{}", d.col)
     } else {
-        out.push_str(&format!(
-            "{}:{}: [{}] {}\n",
-            d.path, d.line, d.rule, d.message
-        ));
-    }
+        String::new()
+    };
+    out.push_str(&format!(
+        "{}:{}{col}: [{}] {}\n",
+        d.path, d.line, d.rule, d.message
+    ));
     if let Some(snippet) = &d.snippet {
         out.push_str(&format!("    | {snippet}\n"));
         if let (Some((start, end)), true) = (d.span, d.col > 0) {
@@ -85,12 +83,12 @@ mod tests {
     fn human_report_mentions_everything() {
         let summary = RunSummary {
             files_scanned: 3,
-            violations: vec![diag("P2", 7)],
+            violations: vec![diag("F2", 7)],
             allows_used: 1,
             allows_total: 2,
         };
         let text = summary.render_human();
-        assert!(text.contains("crates/x/src/lib.rs:7:5: [P2]"));
+        assert!(text.contains("crates/x/src/lib.rs:7:5: [F2]"));
         assert!(text.contains("| "), "snippet line rendered");
         assert!(text.contains("^"), "caret marker rendered");
         assert!(text.contains("1 violation(s)"));

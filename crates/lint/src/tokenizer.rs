@@ -1,12 +1,9 @@
-//! A minimal Rust lexer, sufficient for token-pattern lints.
-//!
-//! This is deliberately **not** a full parser: the lint rules in this crate
-//! match short token sequences (`.partial_cmp(`, `== 1.5`, `panic!`), so all
-//! we need is a stream of identifiers, literals and operators with correct
-//! handling of the things that would otherwise produce false positives —
-//! comments, (raw) strings, char literals vs. lifetimes, and float vs.
-//! integer literals. Comments are captured separately because they carry the
-//! `lint:allow` escape-hatch directives.
+//! A minimal Rust lexer for the token rules in [`crate::rules`], which
+//! match short sequences (`== 1.5`, `.sum::<f64>()`, `acc +=`) under
+//! bracket tracking. It gets right what would otherwise produce false
+//! positives: comments, (raw) strings, char literals vs. lifetimes, and
+//! float vs. integer literals. Comments are kept apart because they carry
+//! the `lint:allow` escape-hatch directives.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +86,17 @@ pub fn lex(source: &str) -> Lexed {
     let mut out = Lexed::default();
     let mut i = 0usize;
     let mut line: u32 = 1;
+    // String and char literals keep no text: no rule reads inside them.
+    let token = |kind: TokenKind, from: usize, to: usize, line: u32| Token {
+        kind,
+        text: match kind {
+            TokenKind::Str | TokenKind::Char => String::new(),
+            _ => chars[from..to].iter().collect(),
+        },
+        line,
+        start: offsets[from],
+        end: offsets[to],
+    };
 
     let count_lines = |s: &[char]| s.iter().filter(|&&c| c == '\n').count() as u32;
 
@@ -149,13 +157,7 @@ pub fn lex(source: &str) -> Lexed {
         // Raw / byte string prefixes and raw identifiers.
         if c == 'r' || c == 'b' {
             if let Some((j, lines, kind)) = lex_prefixed_literal(&chars, i) {
-                out.tokens.push(Token {
-                    kind,
-                    text: String::new(),
-                    line,
-                    start: offsets[i],
-                    end: offsets[j],
-                });
+                out.tokens.push(token(kind, i, j, line));
                 line += lines;
                 i = j;
                 continue;
@@ -164,32 +166,22 @@ pub fn lex(source: &str) -> Lexed {
         // Regular string.
         if c == '"' {
             let (j, lines) = skip_string(&chars, i);
-            out.tokens.push(Token {
-                kind: TokenKind::Str,
-                text: String::new(),
-                line,
-                start: offsets[i],
-                end: offsets[j],
-            });
+            out.tokens.push(token(TokenKind::Str, i, j, line));
             line += lines;
             i = j;
             continue;
         }
         // Lifetime or char literal.
         if c == '\'' {
-            let (mut token, j) = lex_quote(&chars, i, line);
-            token.start = offsets[i];
-            token.end = offsets[j];
-            out.tokens.push(token);
+            let (kind, j) = lex_quote(&chars, i);
+            out.tokens.push(token(kind, i, j, line));
             i = j;
             continue;
         }
         // Numbers.
         if c.is_ascii_digit() {
-            let (mut token, j) = lex_number(&chars, i, line);
-            token.start = offsets[i];
-            token.end = offsets[j];
-            out.tokens.push(token);
+            let (kind, j) = lex_number(&chars, i);
+            out.tokens.push(token(kind, i, j, line));
             i = j;
             continue;
         }
@@ -199,13 +191,7 @@ pub fn lex(source: &str) -> Lexed {
             while j < n && (chars[j] == '_' || chars[j].is_alphanumeric()) {
                 j += 1;
             }
-            out.tokens.push(Token {
-                kind: TokenKind::Ident,
-                text: chars[i..j].iter().collect(),
-                line,
-                start: offsets[i],
-                end: offsets[j],
-            });
+            out.tokens.push(token(TokenKind::Ident, i, j, line));
             i = j;
             continue;
         }
@@ -214,13 +200,7 @@ pub fn lex(source: &str) -> Lexed {
         for op in MULTI_OPS {
             let len = op.len();
             if i + len <= n && chars[i..i + len].iter().collect::<String>() == **op {
-                out.tokens.push(Token {
-                    kind: TokenKind::Op,
-                    text: (*op).to_string(),
-                    line,
-                    start: offsets[i],
-                    end: offsets[i + len],
-                });
+                out.tokens.push(token(TokenKind::Op, i, i + len, line));
                 i += len;
                 matched = true;
                 break;
@@ -229,13 +209,7 @@ pub fn lex(source: &str) -> Lexed {
         if matched {
             continue;
         }
-        out.tokens.push(Token {
-            kind: TokenKind::Op,
-            text: c.to_string(),
-            line,
-            start: offsets[i],
-            end: offsets[i + 1],
-        });
+        out.tokens.push(token(TokenKind::Op, i, i + 1, line));
         i += 1;
     }
     out
@@ -253,7 +227,7 @@ fn lex_prefixed_literal(chars: &[char], i: usize) -> Option<(usize, u32, TokenKi
     }
     if chars[i] == 'b' && j == i + 1 && j < n && chars[j] == '\'' {
         // Byte char literal b'x'.
-        let (_, end) = lex_quote(chars, j, 0);
+        let (_, end) = lex_quote(chars, j);
         return Some((end, 0, TokenKind::Char));
     }
     // Count hashes (raw strings only make sense when an `r` is present).
@@ -319,8 +293,9 @@ fn skip_string(chars: &[char], i: usize) -> (usize, u32) {
     (n, newlines)
 }
 
-/// Disambiguates a `'` into a lifetime or a char literal.
-fn lex_quote(chars: &[char], i: usize, line: u32) -> (Token, usize) {
+/// Disambiguates a `'` into a lifetime or a char literal; returns the
+/// kind and the index after it.
+fn lex_quote(chars: &[char], i: usize) -> (TokenKind, usize) {
     let n = chars.len();
     // Lifetime: 'ident not followed by a closing quote.
     if i + 1 < n && (chars[i + 1] == '_' || chars[i + 1].is_alphabetic()) {
@@ -329,16 +304,7 @@ fn lex_quote(chars: &[char], i: usize, line: u32) -> (Token, usize) {
             j += 1;
         }
         if j >= n || chars[j] != '\'' {
-            return (
-                Token {
-                    kind: TokenKind::Lifetime,
-                    text: chars[i..j].iter().collect(),
-                    line,
-                    start: 0,
-                    end: 0,
-                },
-                j,
-            );
+            return (TokenKind::Lifetime, j);
         }
     }
     // Char literal, possibly escaped ('\n', '\'', '\u{1F600}').
@@ -357,23 +323,15 @@ fn lex_quote(chars: &[char], i: usize, line: u32) -> (Token, usize) {
     if j < n && chars[j] == '\'' {
         j += 1;
     }
-    (
-        Token {
-            kind: TokenKind::Char,
-            text: String::new(),
-            line,
-            start: 0,
-            end: 0,
-        },
-        j,
-    )
+    (TokenKind::Char, j)
 }
 
 /// Lexes a numeric literal starting at a digit. Distinguishes floats from
 /// integers: a float has a consumed `.`, an exponent, or an `f32`/`f64`
 /// suffix. A `.` is consumed only when followed by a digit, so `1.max(2)`
-/// and range expressions (`0..n`) lex as integers.
-fn lex_number(chars: &[char], i: usize, line: u32) -> (Token, usize) {
+/// and range expressions (`0..n`) lex as integers. Returns the kind and
+/// the index after the literal.
+fn lex_number(chars: &[char], i: usize) -> (TokenKind, usize) {
     let n = chars.len();
     let mut j = i;
     let mut is_float = false;
@@ -383,16 +341,7 @@ fn lex_number(chars: &[char], i: usize, line: u32) -> (Token, usize) {
         while j < n && (chars[j].is_ascii_alphanumeric() || chars[j] == '_') {
             j += 1;
         }
-        return (
-            Token {
-                kind: TokenKind::Int,
-                text: chars[i..j].iter().collect(),
-                line,
-                start: 0,
-                end: 0,
-            },
-            j,
-        );
+        return (TokenKind::Int, j);
     }
     while j < n && (chars[j].is_ascii_digit() || chars[j] == '_') {
         j += 1;
@@ -426,20 +375,12 @@ fn lex_number(chars: &[char], i: usize, line: u32) -> (Token, usize) {
     if suffix == "f32" || suffix == "f64" {
         is_float = true;
     }
-    (
-        Token {
-            kind: if is_float {
-                TokenKind::Float
-            } else {
-                TokenKind::Int
-            },
-            text: chars[i..j].iter().collect(),
-            line,
-            start: 0,
-            end: 0,
-        },
-        j,
-    )
+    let kind = if is_float {
+        TokenKind::Float
+    } else {
+        TokenKind::Int
+    };
+    (kind, j)
 }
 
 /// Whether a float-literal token text denotes exactly zero (`0.0`, `0.`,

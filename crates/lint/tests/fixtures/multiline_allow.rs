@@ -2,7 +2,7 @@
 //! Multi-line justification: continuation comment lines extend both the
 //! reason and the coverage window down to the code they explain.
 
-// lint:allow(P2) -- the constructor asserted `k >= 1`, so the partition
-// produced here is non-empty and index 0 is in bounds; the coverage
+// lint:allow(F3) -- two per-shard partial sums, added in shard order, so
+// the reduction order is fixed by the caller's shard layout; the coverage
 // window follows the wrapped reason down to the next code line.
-fn covered(parts: &[u64]) -> u64 { parts[0] }
+fn covered(parts: &[f64]) -> f64 { parts.iter().sum::<f64>() }

@@ -13,13 +13,16 @@ use asyncfl_tensor::ops::{log_softmax, log_sum_exp, softmax};
 /// let l = cross_entropy(&[0.0, 0.0], 0);
 /// assert!((l - (2.0f64).ln()).abs() < 1e-12);
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    reason = "label bound asserted at entry; the panic is this function's contract"
+)]
 pub fn cross_entropy(logits: &[f64], label: usize) -> f64 {
     assert!(
         label < logits.len(),
         "cross_entropy: label {label} out of range for {} logits",
         logits.len()
     );
-    // lint:allow(P2) -- label bound asserted at entry; the panic is this function's contract
     -log_softmax(logits)[label]
 }
 
@@ -36,7 +39,12 @@ pub fn cross_entropy_grad(logits: &[f64], label: usize) -> Vec<f64> {
         logits.len()
     );
     let mut g = softmax(logits);
-    g[label] -= 1.0; // lint:allow(P2) -- label bound asserted at entry; the panic is this function's contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "label bound asserted at entry; the panic is this function's contract"
+    )]
+    let slot = &mut g[label];
+    *slot -= 1.0;
     g
 }
 
@@ -59,12 +67,20 @@ pub fn cross_entropy_grad_in_place(logits: &mut [f64], label: usize) -> f64 {
         logits.len()
     );
     let lse = log_sum_exp(logits);
-    // lint:allow(P2) -- label bound asserted at entry; the panic is this function's contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "label bound asserted at entry; the panic is this function's contract"
+    )]
     let loss = -(logits[label] - lse);
     for x in logits.iter_mut() {
         *x = (*x - lse).exp();
     }
-    logits[label] -= 1.0; // lint:allow(P2) -- label bound asserted at entry; the panic is this function's contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "label bound asserted at entry; the panic is this function's contract"
+    )]
+    let slot = &mut logits[label];
+    *slot -= 1.0;
     loss
 }
 

@@ -157,23 +157,35 @@ pub(crate) fn forward_batch(
     } = scratch;
     for (l, spec) in layers.iter().enumerate() {
         let (done, rest) = acts.split_at_mut(l.min(n_hidden));
-        // lint:allow(P2) -- split_at_mut gives `done` exactly l entries here
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "split_at_mut gives `done` exactly l entries here"
+        )]
         let input: &Matrix = if l == 0 { x } else { &done[l - 1] };
         let last = l == n_hidden;
-        // lint:allow(P2) -- every non-last layer leaves `rest` nonempty
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every non-last layer leaves `rest` nonempty"
+        )]
         let out: &mut Matrix = if last { logits } else { &mut rest[0] };
         out.resize(n, spec.out_dim);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spec ranges lie inside flat by the total_params layout"
+        )]
         gemm_nt(
             out.as_mut_slice(),
             input.as_slice(),
-            // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
             &flat[spec.w_range()],
             n,
             spec.in_dim,
             spec.out_dim,
             panel,
         );
-        // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spec ranges lie inside flat by the total_params layout"
+        )]
         add_row_broadcast(out.as_mut_slice(), &flat[spec.b_range()]);
         if !last {
             for v in out.as_mut_slice() {
@@ -235,16 +247,22 @@ pub(crate) fn loss_and_grad_batch(
     let mut delta = std::mem::take(&mut scratch.logits);
     let mut spare = std::mem::take(&mut scratch.spare);
     for (l, spec) in layers.iter().enumerate().rev() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "acts holds one matrix per hidden layer; l > 0 here"
+        )]
         let input: &[f64] = if l == 0 {
             x.as_slice()
         } else {
-            // lint:allow(P2) -- acts holds one matrix per hidden layer; l > 0 here
             scratch.acts[l - 1].as_slice()
         };
         let g = grad.as_mut_slice();
         // ∂L/∂W += δᵀ · input, accumulated in ascending sample order.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spec ranges lie inside grad by the total_params layout"
+        )]
         gemm_tn_acc(
-            // lint:allow(P2) -- spec ranges lie inside grad by the total_params layout
             &mut g[spec.w_range()],
             delta.as_slice(),
             input,
@@ -253,7 +271,10 @@ pub(crate) fn loss_and_grad_batch(
             spec.in_dim,
         );
         // ∂L/∂b += column sums of δ, in the same sample order.
-        // lint:allow(P2) -- spec ranges lie inside grad by the total_params layout
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spec ranges lie inside grad by the total_params layout"
+        )]
         let gb = &mut g[spec.b_range()];
         for i in 0..n {
             axpy(gb, 1.0, delta.row(i));
@@ -261,16 +282,22 @@ pub(crate) fn loss_and_grad_batch(
         if l > 0 {
             // δ_prev = (δ · W) masked by the previous layer's ReLU.
             spare.resize(n, spec.in_dim);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "spec ranges lie inside flat by the total_params layout"
+            )]
             gemm_nn(
                 spare.as_mut_slice(),
                 delta.as_slice(),
-                // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
                 &flat[spec.w_range()],
                 n,
                 spec.out_dim,
                 spec.in_dim,
             );
-            // lint:allow(P2) -- acts holds one matrix per hidden layer; l > 0 here
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "acts holds one matrix per hidden layer; l > 0 here"
+            )]
             let act = scratch.acts[l - 1].as_slice();
             for (d, &a) in spare.as_mut_slice().iter_mut().zip(act) {
                 if a <= 0.0 {
@@ -309,17 +336,23 @@ pub(crate) fn logits_one(flat: &[f64], layers: &[LayerSpec], features: &[f64]) -
         let input: &[f64] = if l == 0 { features } else { &cur };
         next.clear();
         next.resize(spec.out_dim, 0.0);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spec ranges lie inside flat by the total_params layout"
+        )]
         gemm_nt(
             &mut next,
             input,
-            // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
             &flat[spec.w_range()],
             1,
             spec.in_dim,
             spec.out_dim,
             &mut panel,
         );
-        // lint:allow(P2) -- spec ranges lie inside flat by the total_params layout
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spec ranges lie inside flat by the total_params layout"
+        )]
         axpy(&mut next, 1.0, &flat[spec.b_range()]);
         if l + 1 < layers.len() {
             for v in &mut next {

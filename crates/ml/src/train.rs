@@ -23,7 +23,10 @@ fn gather_batch(data: &Dataset, idx: &[usize], x: &mut Matrix, labels: &mut Vec<
     x.resize(idx.len(), data.feature_dim());
     labels.clear();
     for (r, &i) in idx.iter().enumerate() {
-        // lint:allow(P2) -- the batch sampler draws indices below samples().len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the batch sampler draws indices below samples().len()"
+        )]
         let s = &data.samples()[i];
         x.row_mut(r).copy_from_slice(s.features.as_slice());
         labels.push(s.label);

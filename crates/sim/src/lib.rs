@@ -43,6 +43,7 @@
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
 
 pub mod config;
 pub mod latency;

@@ -484,6 +484,7 @@ impl Simulation {
                         idle,
                         state: job.state,
                     }));
+                    debug_assert_eq!(queue.len(), cfg.num_clients, "one heap entry per client");
                     seq += 1;
                     continue;
                 }
@@ -633,6 +634,7 @@ impl Simulation {
                     idle,
                     state: job.state,
                 }));
+                debug_assert_eq!(queue.len(), cfg.num_clients, "one heap entry per client");
                 seq += 1;
             }
 

@@ -214,7 +214,7 @@ impl ClientSpawner {
         malicious: Vec<usize>,
         cache_capacity: usize,
     ) -> Self {
-        debug_assert!(malicious.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(malicious.is_sorted_by(|a, b| a < b));
         Self {
             seed,
             num_clients,

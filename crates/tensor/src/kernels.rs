@@ -64,6 +64,13 @@
 //! helpers are `#[inline(always)]`, so they compile at their caller's
 //! level.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the fixed-tree kernels index lanes, tiles and tails whose bounds follow from the \
+              chunk arithmetic each body asserts or derives; checked access would cost the \
+              vectorization this module exists for"
+)]
+
 /// Accumulator width. Eight `f64` lanes = two AVX2 registers / one
 /// AVX-512 register; also fine on NEON (four 2-wide registers).
 const LANES: usize = 8;

@@ -129,6 +129,10 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if out of bounds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bounds asserted at entry; the panic is this accessor's contract"
+    )]
     pub fn get(&self, row: usize, col: usize) -> f64 {
         assert!(
             row < self.rows && col < self.cols,
@@ -136,7 +140,6 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        // lint:allow(P2) -- bounds asserted above; the panic is this accessor's contract
         self.data[row * self.cols + col]
     }
 
@@ -145,6 +148,10 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if out of bounds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bounds asserted at entry; the panic is this accessor's contract"
+    )]
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         assert!(
             row < self.rows && col < self.cols,
@@ -152,7 +159,6 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        // lint:allow(P2) -- bounds asserted above; the panic is this accessor's contract
         self.data[row * self.cols + col] = value;
     }
 
@@ -161,9 +167,12 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row < rows asserted at entry; the panic is this accessor's contract"
+    )]
     pub fn row(&self, row: usize) -> &[f64] {
         assert!(row < self.rows, "row: {row} out of bounds ({})", self.rows);
-        // lint:allow(P2) -- row < rows asserted above; the panic is this accessor's contract
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
@@ -172,13 +181,16 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row < rows asserted at entry; the panic is this accessor's contract"
+    )]
     pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
         assert!(
             row < self.rows,
             "row_mut: {row} out of bounds ({})",
             self.rows
         );
-        // lint:allow(P2) -- row < rows asserted above; the panic is this accessor's contract
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
 

@@ -72,9 +72,14 @@ fn trimmed_middle(keys: &mut [i64], trim: usize) -> &[i64] {
     if trim > 0 {
         keys.select_nth_unstable(trim);
         // The top `trim` follow the kept middle in the tail.
-        keys[trim..].select_nth_unstable(kept); // lint:allow(P2) -- trim < len; tail holds kept + trim > kept
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "trim < len; tail holds kept + trim > kept"
+        )]
+        keys[trim..].select_nth_unstable(kept);
     }
-    let middle = &mut keys[trim..trim + kept]; // lint:allow(P2) -- trim + kept = len - trim <= len
+    #[expect(clippy::indexing_slicing, reason = "trim + kept = len - trim <= len")]
+    let middle = &mut keys[trim..trim + kept];
     middle.sort_unstable();
     middle
 }
@@ -223,8 +228,9 @@ fn reduce_key_columns<T: AsSummed + ?Sized>(
         let d0 = b0 * GATHER_BLOCK;
         for (i, v) in vectors.iter().enumerate() {
             let coords = v.as_summed().slice(d0..d0 + outs.len());
+            #[expect(clippy::indexing_slicing, reason = "b < GATHER_BLOCK and i < n")]
             kernels::for_each_key(coords, |b, key| {
-                block[b * n + i] = key; // lint:allow(P2) -- b < GATHER_BLOCK and i < n
+                block[b * n + i] = key;
             });
         }
         for (o, column) in outs.iter_mut().zip(block.chunks_exact_mut(n)) {

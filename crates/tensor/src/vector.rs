@@ -425,15 +425,21 @@ impl Extend<f64> for Vector {
 impl Index<usize> for Vector {
     type Output = f64;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Index's contract is to panic out of bounds; delegate to the slice check"
+    )]
     fn index(&self, index: usize) -> &f64 {
-        // lint:allow(P2) -- Index's contract is to panic out of bounds; delegate to the slice check
         &self.data[index]
     }
 }
 
 impl IndexMut<usize> for Vector {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Index's contract is to panic out of bounds; delegate to the slice check"
+    )]
     fn index_mut(&mut self, index: usize) -> &mut f64 {
-        // lint:allow(P2) -- Index's contract is to panic out of bounds; delegate to the slice check
         &mut self.data[index]
     }
 }

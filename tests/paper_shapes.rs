@@ -50,7 +50,7 @@ fn shape_no_attack_accuracy_preserved() {
 }
 
 #[test]
-#[ignore = "full paper-scale run (~1 min); use --ignored"]
+#[ignore = "full paper-scale run, slow in a debug build; run with --release -- --ignored"]
 fn full_scale_fldetector_is_not_an_async_substitute() {
     // The paper's motivating claim: the synchronous SOTA detector does not
     // rescue GD in the asynchronous setting the way AsyncFilter does. This
@@ -78,7 +78,7 @@ fn shape_staleness_stability() {
 }
 
 #[test]
-#[ignore = "full paper-scale run (~1 min); use --ignored"]
+#[ignore = "full paper-scale run, slow in a debug build; run with --release -- --ignored"]
 fn full_scale_table2_gd_row() {
     let cfg = SimConfig::paper_default(DatasetProfile::Mnist);
     let undefended = run(&cfg, Box::new(PassthroughFilter), AttackKind::Gd);
@@ -88,7 +88,7 @@ fn full_scale_table2_gd_row() {
 }
 
 #[test]
-#[ignore = "full paper-scale run (~1 min); use --ignored"]
+#[ignore = "full paper-scale run, slow in a debug build; run with --release -- --ignored"]
 fn full_scale_no_attack_parity() {
     let cfg = SimConfig::paper_default(DatasetProfile::Mnist);
     let fedbuff = run(&cfg, Box::new(PassthroughFilter), AttackKind::None);
@@ -97,7 +97,7 @@ fn full_scale_no_attack_parity() {
 }
 
 #[test]
-#[ignore = "full paper-scale run (~2 min); use --ignored"]
+#[ignore = "full paper-scale run, slow in a debug build; run with --release -- --ignored"]
 fn full_scale_extreme_noniid_recovery() {
     // Table 7's headline: α = 0.01 GD, the paper's biggest relative win.
     let mut cfg = SimConfig::paper_default(DatasetProfile::FashionMnist);
